@@ -9,6 +9,11 @@
 # file is Chrome trace_event JSON containing OPT phase spans and the
 # profiler's overlap counter tracks.
 #
+# Along the way it checks connection hygiene: 200 one-shot STATS
+# connections leave opt_server's fd count at baseline, and SIGTERM
+# ends opt_server within 5 s while a raw TCP client sits idle on its
+# metrics port.
+#
 # Then the distributed phase: partitions the graph into a 2-shard fleet
 # behind opt_router, scrapes BOTH Prometheus endpoints (server and
 # router — windowed rates, fleet-merged histograms, per-shard up
@@ -122,6 +127,23 @@ for key in scheduler.submitted pool.fetch.hits pool.fetch.lookups \
 done
 [[ "$missing" -eq 0 ]] || exit 1
 
+echo "== 200 one-shot STATS connections leave no fd behind"
+fd_count() { find "/proc/$SERVER_PID/fd" -mindepth 1 -maxdepth 1 | wc -l; }
+BASE_FDS="$(fd_count)"
+for _ in $(seq 1 200); do
+  "$BUILD_DIR/tools/opt_client" --unix "$SOCK" --op stats > /dev/null
+done
+NOW_FDS="$(fd_count)"
+for _ in $(seq 1 50); do
+  [[ "$NOW_FDS" -le "$BASE_FDS" ]] && break
+  sleep 0.1
+  NOW_FDS="$(fd_count)"
+done
+[[ "$NOW_FDS" -le "$BASE_FDS" ]] || {
+  echo "FAIL: opt_server holds $NOW_FDS fds after 200 connections (baseline $BASE_FDS)" >&2
+  exit 1; }
+echo "server fds $BASE_FDS -> $NOW_FDS OK"
+
 echo "== waiting for a metrics dump on stderr"
 for _ in $(seq 1 30); do
   grep -q "metrics dump" "$WORK_DIR/server.err" && break
@@ -153,10 +175,26 @@ for key in "# TYPE" "pool_fetch_lookups" "_per_sec" \
 done
 echo "server scrape OK ($(wc -l <<< "$SERVER_SCRAPE") lines)"
 
-echo "== shutting down and checking trace"
+echo "== SIGTERM with an idle client on the metrics port"
+# A raw TCP client that never sends a request must not hold up shutdown.
+exec 9<>"/dev/tcp/127.0.0.1/$SERVER_METRICS_PORT"
+sleep 0.2
 kill "$SERVER_PID"
+for _ in $(seq 1 50); do
+  kill -0 "$SERVER_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$SERVER_PID" 2>/dev/null; then
+  echo "FAIL: opt_server still running 5 s after SIGTERM with an idle metrics client" >&2
+  exec 9>&-
+  exit 1
+fi
+exec 9>&-
 wait "$SERVER_PID" || true
 SERVER_PID=""
+echo "server exited promptly OK"
+
+echo "== checking trace"
 
 [[ -s "$TRACE" ]] || { echo "FAIL: trace file missing/empty" >&2; exit 1; }
 python3 - "$TRACE" <<'EOF'

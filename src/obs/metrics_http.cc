@@ -1,12 +1,9 @@
 #include "obs/metrics_http.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <utility>
 
 namespace opt {
@@ -16,7 +13,10 @@ namespace {
 void WriteAll(int fd, const std::string& data) {
   size_t done = 0;
   while (done < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    // MSG_NOSIGNAL: a scraper that hung up (or Stop() shutting the
+    // socket down) must not raise SIGPIPE in the daemon.
+    const ssize_t n =
+        ::send(fd, data.data() + done, data.size() - done, MSG_NOSIGNAL);
     if (n > 0) {
       done += static_cast<size_t>(n);
       continue;
@@ -29,94 +29,17 @@ void WriteAll(int fd, const std::string& data) {
 }  // namespace
 
 MetricsHttpServer::MetricsHttpServer(std::function<std::string()> body)
-    : body_(std::move(body)) {}
+    : body_(std::move(body)),
+      listener_([this](int fd) { HandleConnection(fd); }) {}
 
 MetricsHttpServer::~MetricsHttpServer() { Stop(); }
 
 Status MetricsHttpServer::Start(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status status =
-        Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, 16) != 0) {
-    const Status status =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    const Status status =
-        Status::IOError(std::string("getsockname: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  port_ = ntohs(bound.sin_port);
-  listen_fd_.store(fd, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
+  OPT_RETURN_IF_ERROR(listener_.ListenTcp(port));
+  return listener_.Start();
 }
 
-void MetricsHttpServer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> handlers;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    handlers.swap(handlers_);
-  }
-  for (std::thread& handler : handlers) {
-    if (handler.joinable()) handler.join();
-  }
-}
-
-void MetricsHttpServer::AcceptLoop() {
-  for (;;) {
-    const int listen_fd = listen_fd_.load(std::memory_order_acquire);
-    if (listen_fd < 0) return;
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed by Stop()
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopped_) {
-      ::close(fd);
-      return;
-    }
-    // Scrapes are rare (seconds apart); reap finished handlers lazily
-    // by joining everything each time the list grows past a handful.
-    if (handlers_.size() > 8) {
-      for (std::thread& handler : handlers_) {
-        if (handler.joinable()) handler.join();
-      }
-      handlers_.clear();
-    }
-    handlers_.emplace_back([this, fd] { HandleConnection(fd); });
-  }
-}
+void MetricsHttpServer::Stop() { listener_.Stop(); }
 
 void MetricsHttpServer::HandleConnection(int fd) {
   // Read until the end of the request head (or 4 KiB, whichever first);
@@ -154,8 +77,6 @@ void MetricsHttpServer::HandleConnection(int fd) {
                "\r\nConnection: close\r\n\r\n" + body;
   }
   WriteAll(fd, response);
-  ::shutdown(fd, SHUT_WR);
-  ::close(fd);
 }
 
 }  // namespace opt

@@ -1,21 +1,18 @@
 // Minimal plain-HTTP scrape endpoint for the Prometheus exposition
-// text: one listener thread, one short-lived handler thread per
-// connection, GET /metrics answered with whatever the body callback
-// renders at scrape time. Deliberately not a web server — no keep-alive,
-// no TLS, no routing beyond /metrics — just enough for `curl` and a
-// Prometheus scrape job against `opt_server --metrics-port` /
-// `opt_router --metrics-port`.
+// text, served by a Listener (util/listener.h: one short-lived handler
+// thread per connection): GET /metrics is answered with whatever the
+// body callback renders at scrape time. Deliberately not a web server —
+// no keep-alive, no TLS, no routing beyond /metrics — just enough for
+// `curl` and a Prometheus scrape job against `opt_server --metrics-port`
+// / `opt_router --metrics-port`.
 #ifndef OPT_OBS_METRICS_HTTP_H_
 #define OPT_OBS_METRICS_HTTP_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "util/listener.h"
 #include "util/status.h"
 
 namespace opt {
@@ -34,21 +31,15 @@ class MetricsHttpServer {
   /// starts the accept loop.
   Status Start(uint16_t port);
   /// Actual bound port once Start succeeded.
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
   /// Stops accepting and joins every handler. Idempotent.
   void Stop();
 
  private:
-  void AcceptLoop();
   void HandleConnection(int fd);
 
   const std::function<std::string()> body_;
-  std::atomic<int> listen_fd_{-1};
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::mutex mutex_;
-  std::vector<std::thread> handlers_;
-  bool stopped_ = false;
+  Listener listener_;
 };
 
 }  // namespace opt

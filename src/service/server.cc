@@ -1,14 +1,8 @@
 #include "service/server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -68,20 +62,6 @@ class WireListSink : public TriangleSink {
   Status write_status_;
 };
 
-Status SendError(int fd, const Status& status) {
-  return WriteMessage(fd, MessageType::kError, EncodeError(status));
-}
-
-/// Degraded queries ship their flight-recorder tail with the error,
-/// plus the request's trace id so the client can line the events up
-/// with the distributed trace.
-Status SendError(int fd, const Status& status,
-                 const std::vector<FlightEvent>& events,
-                 uint64_t trace_id) {
-  return WriteMessage(fd, MessageType::kError,
-                      EncodeError(status, events, trace_id));
-}
-
 QuerySpec SpecFromRequest(const QueryRequest& request, QueryKind kind) {
   QuerySpec spec;
   spec.graph = request.graph;
@@ -137,141 +117,36 @@ OptServer::OptServer(QueryScheduler* scheduler, bool allow_load_graph,
                      bool allow_mutations)
     : scheduler_(scheduler),
       allow_load_graph_(allow_load_graph),
-      allow_mutations_(allow_mutations) {}
+      allow_mutations_(allow_mutations),
+      listener_([this](int fd) { HandleConnection(fd); }) {}
 
 OptServer::~OptServer() { Stop(); }
 
 Status OptServer::ListenTcp(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int enable = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status status =
-        Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, 64) != 0) {
-    const Status status =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    const Status status =
-        Status::IOError(std::string("getsockname: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  listen_fd_ = fd;
-  bound_port_ = ntohs(addr.sin_port);
-  return Status::OK();
+  return listener_.ListenTcp(port);
 }
 
 Status OptServer::ListenUnix(const std::string& path) {
-  sockaddr_un addr{};
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("unix socket path too long: " + path);
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  ::unlink(path.c_str());
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status status =
-        Status::IOError(std::string("bind ") + path + ": " +
-                        std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, 64) != 0) {
-    const Status status =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  listen_fd_ = fd;
-  unix_path_ = path;
-  return Status::OK();
+  return listener_.ListenUnix(path);
 }
 
 Status OptServer::Start() {
-  if (listen_fd_ < 0) {
-    return Status::InvalidArgument("Start() before a successful Listen*()");
-  }
-  if (accept_thread_.joinable()) {
-    return Status::InvalidArgument("server already started");
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  OPT_RETURN_IF_ERROR(listener_.Start());
   prime_thread_ = std::thread([this] { PrimeLoop(); });
   return Status::OK();
 }
 
 void OptServer::Stop() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    if (prime_thread_.joinable()) prime_thread_.join();
-    return;
-  }
-  const int listener = listen_fd_.exchange(-1);
-  if (listener >= 0) {
-    // shutdown() unblocks accept(); close() alone does not on Linux.
-    ::shutdown(listener, SHUT_RDWR);
-    ::close(listener);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::unique_ptr<Connection>> connections;
+  listener_.Stop();
   {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
-  }
-  for (auto& connection : connections) {
-    ::shutdown(connection->fd, SHUT_RDWR);
-  }
-  for (auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-    ::close(connection->fd);
-  }
-  {
-    // Lock around the notify so a primer between its stopping_ check
-    // and its wait cannot miss the wakeup.
+    // Set under the lock so a primer between its stopping_ check and
+    // its wait cannot miss the wakeup.
     std::lock_guard<std::mutex> lock(prime_mutex_);
+    if (stopping_) return;
+    stopping_ = true;
   }
   prime_cv_.notify_all();
   if (prime_thread_.joinable()) prime_thread_.join();
-  if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
-}
-
-void OptServer::AcceptLoop() {
-  for (;;) {
-    const int listener = listen_fd_.load(std::memory_order_acquire);
-    if (listener < 0) return;  // Stop() retired the listener
-    const int fd = ::accept(listener, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed by Stop(), or fatal
-    }
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      return;
-    }
-    auto connection = std::make_unique<Connection>();
-    connection->fd = fd;
-    connection->thread = std::thread([this, fd] { HandleConnection(fd); });
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(std::move(connection));
-  }
 }
 
 void OptServer::HandleConnection(int fd) {
@@ -573,7 +448,7 @@ Status OptServer::HandleSubscribe(int fd, const WireMessage& message) {
 
 void OptServer::SchedulePrime(const std::string& graph) {
   std::lock_guard<std::mutex> lock(prime_mutex_);
-  if (stopping_.load(std::memory_order_relaxed)) return;
+  if (stopping_) return;
   if (!prime_pending_.insert(graph).second) return;  // already in flight
   prime_queue_.push_back(graph);
   prime_cv_.notify_one();
@@ -581,7 +456,7 @@ void OptServer::SchedulePrime(const std::string& graph) {
 
 void OptServer::PrimeLoop() {
   std::unique_lock<std::mutex> lock(prime_mutex_);
-  while (!stopping_.load(std::memory_order_relaxed)) {
+  while (!stopping_) {
     if (prime_queue_.empty()) {
       prime_cv_.wait(lock);
       continue;

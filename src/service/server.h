@@ -9,18 +9,16 @@
 #ifndef OPT_SERVICE_SERVER_H_
 #define OPT_SERVICE_SERVER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/query_scheduler.h"
 #include "service/wire.h"
+#include "util/listener.h"
 #include "util/status.h"
 
 namespace opt {
@@ -51,19 +49,15 @@ class OptServer {
   /// Idempotent; also run by the destructor.
   void Stop();
 
-  uint16_t bound_port() const { return bound_port_; }
+  uint16_t bound_port() const { return listener_.port(); }
 
   /// Appends one JSON line per PROFILE query to `path` (opt_server
   /// --profile-out). Empty disables. Safe to call before Start().
   void SetProfileOutput(const std::string& path);
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-  };
-
-  void AcceptLoop();
+  /// Serves one connection's requests in order until EOF or a failed
+  /// write; the listener closes the fd afterwards.
   void HandleConnection(int fd);
   Status HandleCount(int fd, const WireMessage& message);
   Status HandleList(int fd, const WireMessage& message);
@@ -93,26 +87,18 @@ class OptServer {
   const bool allow_load_graph_;
   const bool allow_mutations_;
 
-  // Atomic: Stop() retires the listener (exchange to -1) while
-  // AcceptLoop() concurrently reads it for accept().
-  std::atomic<int> listen_fd_{-1};
-  uint16_t bound_port_ = 0;
-  std::string unix_path_;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-
   std::mutex profile_out_mutex_;
   std::string profile_out_path_;
 
   // Background base-count primer (one thread, started with the server).
   std::mutex prime_mutex_;
+  bool stopping_ = false;  // guarded by prime_mutex_
   std::condition_variable prime_cv_;
   std::deque<std::string> prime_queue_;
   std::set<std::string> prime_pending_;  // queued or running
   std::thread prime_thread_;
+
+  Listener listener_;
 };
 
 }  // namespace opt

@@ -1,6 +1,7 @@
 #include "service/wire.h"
 
 #include <errno.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -35,13 +36,15 @@ Status ReadFull(int fd, char* buffer, size_t length, bool* clean_eof) {
 Status WriteFull(int fd, const char* buffer, size_t length) {
   size_t done = 0;
   while (done < length) {
-    const ssize_t n = ::write(fd, buffer + done, length - done);
+    // MSG_NOSIGNAL: a vanished peer is an IOError, not a SIGPIPE that
+    // kills the daemon.
+    const ssize_t n = ::send(fd, buffer + done, length - done, MSG_NOSIGNAL);
     if (n > 0) {
       done += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    return Status::IOError(std::string("write: ") + std::strerror(errno));
+    return Status::IOError(std::string("send: ") + std::strerror(errno));
   }
   return Status::OK();
 }
@@ -114,6 +117,17 @@ Status PayloadReader::GetString(std::string* value) {
   }
   value->assign(data_.data() + pos_, length);
   pos_ += length;
+  return Status::OK();
+}
+
+Status PayloadReader::GetCount(size_t min_bytes_per_item, uint32_t* count) {
+  OPT_RETURN_IF_ERROR(GetU32(count));
+  if (*count > remaining() / min_bytes_per_item) {
+    return Status::Corruption("payload claims " + std::to_string(*count) +
+                              " items but only " +
+                              std::to_string(remaining()) +
+                              " payload bytes follow");
+  }
   return Status::OK();
 }
 
@@ -202,14 +216,10 @@ Status DecodeMutateRequest(std::string_view payload, MutateRequest* out) {
   PayloadReader reader(payload);
   OPT_RETURN_IF_ERROR(reader.GetString(&out->graph));
   uint32_t count;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&count));
-  // The count is attacker-controlled; bound it by the bytes actually
-  // present (8 per edge) before reserving, or a ~14-byte frame claiming
-  // 2^32 edges forces a multi-GB allocation.
-  if (count > reader.remaining() / 8) {
-    return Status::InvalidArgument(
-        "mutate batch claims " + std::to_string(count) + " edges but only " +
-        std::to_string(reader.remaining()) + " payload bytes follow");
+  // A malformed edge batch is the client's error: InvalidArgument, like
+  // the server-side edge validation.
+  if (Status status = reader.GetCount(8, &count); !status.ok()) {
+    return Status::InvalidArgument("mutate batch: " + status.message());
   }
   out->edges.clear();
   out->edges.reserve(count);
@@ -351,7 +361,7 @@ Status DecodeError(std::string_view payload, ErrorResult* out) {
   // recorder — code + message are the whole answer.
   if (reader.AtEnd()) return Status::OK();
   uint32_t num_events;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&num_events));
+  OPT_RETURN_IF_ERROR(reader.GetCount(25, &num_events));
   out->events.reserve(num_events);
   for (uint32_t i = 0; i < num_events; ++i) {
     FlightEvent event;
@@ -410,7 +420,7 @@ Status DecodeProfileResult(std::string_view payload, ProfileResult* out) {
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->stalled_samples));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->morph_events));
   uint32_t num_roles;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&num_roles));
+  OPT_RETURN_IF_ERROR(reader.GetCount(8, &num_roles));
   out->role_samples.clear();
   out->role_samples.reserve(num_roles);
   for (uint32_t i = 0; i < num_roles; ++i) {
@@ -444,7 +454,7 @@ std::string EncodeListBatch(const ListBatch& batch) {
 Status DecodeListBatch(std::string_view payload, ListBatch* out) {
   PayloadReader reader(payload);
   uint32_t count;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&count));
+  OPT_RETURN_IF_ERROR(reader.GetCount(12, &count));  // u, v, k
   out->records.clear();
   out->records.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -452,7 +462,7 @@ Status DecodeListBatch(std::string_view payload, ListBatch* out) {
     OPT_RETURN_IF_ERROR(reader.GetU32(&record.u));
     OPT_RETURN_IF_ERROR(reader.GetU32(&record.v));
     uint32_t k;
-    OPT_RETURN_IF_ERROR(reader.GetU32(&k));
+    OPT_RETURN_IF_ERROR(reader.GetCount(4, &k));
     record.ws.reserve(k);
     for (uint32_t j = 0; j < k; ++j) {
       VertexId w;
@@ -515,7 +525,8 @@ Status DecodeStatsResult(std::string_view payload, StatsResult* out) {
   // registry fields — the text is the whole answer.
   if (reader.AtEnd()) return Status::OK();
   uint32_t num_histograms;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&num_histograms));
+  // A histogram is a length-prefixed name plus seven 8-byte fields.
+  OPT_RETURN_IF_ERROR(reader.GetCount(60, &num_histograms));
   out->histograms.reserve(num_histograms);
   for (uint32_t i = 0; i < num_histograms; ++i) {
     StatsHistogram histogram;
@@ -530,7 +541,7 @@ Status DecodeStatsResult(std::string_view payload, StatsResult* out) {
     out->histograms.push_back(std::move(histogram));
   }
   uint32_t num_counters;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&num_counters));
+  OPT_RETURN_IF_ERROR(reader.GetCount(12, &num_counters));
   out->counters.reserve(num_counters);
   for (uint32_t i = 0; i < num_counters; ++i) {
     StatsCounter counter;
@@ -570,16 +581,8 @@ Status DecodeShardStatsResult(std::string_view payload,
   PayloadReader reader(payload);
   OPT_RETURN_IF_ERROR(reader.GetString(&out->graph));
   uint32_t count;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&count));
+  OPT_RETURN_IF_ERROR(reader.GetCount(94, &count));  // entry ≥ 94 bytes
   out->shards.clear();
-  // Like DecodeMutateRequest: bound the claimed count by the bytes that
-  // could possibly back it (each entry is ≥ 94 bytes) before reserving.
-  if (count > reader.remaining() / 94) {
-    return Status::Corruption("shard stats claims " + std::to_string(count) +
-                              " shards but only " +
-                              std::to_string(reader.remaining()) +
-                              " payload bytes follow");
-  }
   out->shards.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     ShardStatsEntry shard;
@@ -646,17 +649,10 @@ Status DecodeTracePullResult(std::string_view payload,
                              TracePullResult* out) {
   PayloadReader reader(payload);
   uint32_t num_processes;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&num_processes));
+  // A process section is at least 32 bytes even with an empty label
+  // and no events.
+  OPT_RETURN_IF_ERROR(reader.GetCount(32, &num_processes));
   out->processes.clear();
-  // Hostile-count bound (cf. DecodeMutateRequest): a process section is
-  // at least 32 bytes even with an empty label and no events.
-  if (num_processes > reader.remaining() / 32) {
-    return Status::Corruption("trace pull claims " +
-                              std::to_string(num_processes) +
-                              " processes but only " +
-                              std::to_string(reader.remaining()) +
-                              " payload bytes follow");
-  }
   out->processes.reserve(num_processes);
   for (uint32_t p = 0; p < num_processes; ++p) {
     ProcessTrace process;
@@ -665,16 +661,9 @@ Status DecodeTracePullResult(std::string_view payload,
     OPT_RETURN_IF_ERROR(reader.GetU64(&process.unix_origin_micros));
     OPT_RETURN_IF_ERROR(reader.GetU64(&process.dropped_spans));
     uint32_t num_events;
-    OPT_RETURN_IF_ERROR(reader.GetU32(&num_events));
     // Each encoded event is ≥ 57 bytes (three length-prefixed strings
-    // plus the fixed fields); bound before reserving.
-    if (num_events > reader.remaining() / 57) {
-      return Status::Corruption("trace section claims " +
-                                std::to_string(num_events) +
-                                " events but only " +
-                                std::to_string(reader.remaining()) +
-                                " payload bytes follow");
-    }
+    // plus the fixed fields).
+    OPT_RETURN_IF_ERROR(reader.GetCount(57, &num_events));
     process.events.reserve(num_events);
     for (uint32_t i = 0; i < num_events; ++i) {
       TraceEvent event;
@@ -704,6 +693,12 @@ Status WriteMessage(int fd, MessageType type, std::string_view payload) {
   frame.push_back(static_cast<char>(type));
   frame.append(payload.data(), payload.size());
   return WriteFull(fd, frame.data(), frame.size());
+}
+
+Status SendError(int fd, const Status& status,
+                 const std::vector<FlightEvent>& events, uint64_t trace_id) {
+  return WriteMessage(fd, MessageType::kError,
+                      EncodeError(status, events, trace_id));
 }
 
 Status ReadMessage(int fd, WireMessage* out, size_t max_payload) {

@@ -311,6 +311,11 @@ class PayloadReader {
   Status GetU64(uint64_t* value);
   Status GetDouble(double* value);
   Status GetString(std::string* value);
+  /// Reads a u32 item count and fails with Corruption unless the rest
+  /// of the payload could hold that many items of at least
+  /// `min_bytes_per_item` bytes each, so a hostile count can never
+  /// drive an allocation past the frame size.
+  Status GetCount(size_t min_bytes_per_item, uint32_t* count);
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
 
@@ -381,7 +386,14 @@ Status DecodeTracePullResult(std::string_view payload, TracePullResult* out);
 
 // ---- framed socket I/O ----
 /// Writes [len][type][payload] with a retry loop (EINTR, short writes).
+/// A peer that hung up yields IOError, never SIGPIPE.
 Status WriteMessage(int fd, MessageType type, std::string_view payload);
+
+/// Answers a request with one kError frame. Degraded queries pass their
+/// flight-recorder tail and the request's trace id (see EncodeError).
+Status SendError(int fd, const Status& status,
+                 const std::vector<FlightEvent>& events = {},
+                 uint64_t trace_id = 0);
 
 /// Reads one frame. NotFound signals clean EOF at a frame boundary
 /// (peer closed); IOError/Corruption anything else. `max_payload`

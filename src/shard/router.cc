@@ -2,17 +2,12 @@
 
 #include "service/query_scheduler.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -24,10 +19,6 @@
 namespace opt {
 
 namespace {
-
-Status SendError(int fd, const Status& status) {
-  return WriteMessage(fd, MessageType::kError, EncodeError(status));
-}
 
 /// `[trace=<hex>] ` prefix for Warn lines tied to a traced request
 /// (mirrors the scheduler's tag so one grep follows a request across
@@ -98,7 +89,9 @@ StatsHistogram MergeHistograms(const std::string& name,
 }  // namespace
 
 QueryRouter::QueryRouter(ShardSet* shards, RouterOptions options)
-    : shards_(shards), options_(std::move(options)) {
+    : shards_(shards),
+      options_(std::move(options)),
+      listener_([this](int fd) { HandleConnection(fd); }) {
   pool_ = std::make_unique<ThreadPool>(std::max(1u, options_.workers));
   idle_conns_.resize(shards_->num_shards());
   shard_metrics_.reserve(shards_->num_shards());
@@ -110,96 +103,15 @@ QueryRouter::QueryRouter(ShardSet* shards, RouterOptions options)
 QueryRouter::~QueryRouter() { Stop(); }
 
 Status QueryRouter::ListenTcp(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int enable = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status status =
-        Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, 64) != 0) {
-    const Status status =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    const Status status =
-        Status::IOError(std::string("getsockname: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  listen_fd_ = fd;
-  bound_port_ = ntohs(addr.sin_port);
-  return Status::OK();
+  return listener_.ListenTcp(port);
 }
 
-Status QueryRouter::Start() {
-  if (listen_fd_.load() < 0) {
-    return Status::InvalidArgument("ListenTcp must succeed before Start");
-  }
-  stopping_.store(false);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
+Status QueryRouter::Start() { return listener_.Start(); }
 
 void QueryRouter::Stop() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  const int listener = listen_fd_.exchange(-1);
-  if (listener >= 0) {
-    // shutdown() unblocks accept(); close() alone does not on Linux.
-    ::shutdown(listener, SHUT_RDWR);
-    ::close(listener);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
-  }
-  for (auto& connection : connections) {
-    ::shutdown(connection->fd, SHUT_RDWR);
-  }
-  for (auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-    ::close(connection->fd);
-  }
+  listener_.Stop();
   std::lock_guard<std::mutex> lock(conn_pool_mutex_);
   for (auto& per_shard : idle_conns_) per_shard.clear();
-}
-
-void QueryRouter::AcceptLoop() {
-  for (;;) {
-    const int listener = listen_fd_.load(std::memory_order_acquire);
-    if (listener < 0) return;
-    const int fd = ::accept(listener, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      return;
-    }
-    auto connection = std::make_unique<Connection>();
-    connection->fd = fd;
-    connection->thread = std::thread([this, fd] { HandleConnection(fd); });
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(std::move(connection));
-  }
 }
 
 void QueryRouter::HandleConnection(int fd) {
@@ -251,10 +163,7 @@ void QueryRouter::HandleConnection(int fd) {
                     std::to_string(static_cast<int>(message.type))));
         break;
     }
-    if (!status.ok()) {
-      ::close(fd);
-      return;
-    }
+    if (!status.ok()) return;
   }
 }
 

@@ -36,13 +36,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service/client.h"
 #include "service/wire.h"
 #include "shard/shard_set.h"
 #include "storage/async_io.h"
+#include "util/listener.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -80,7 +80,7 @@ class QueryRouter {
   Status ListenTcp(uint16_t port);
   Status Start();
   void Stop();
-  uint16_t bound_port() const { return bound_port_; }
+  uint16_t bound_port() const { return listener_.port(); }
 
   /// Fleet view for the Prometheus scrape endpoint: count-weight-merged
   /// histograms pulled live from every reachable shard (same
@@ -106,7 +106,6 @@ class QueryRouter {
     uint64_t micros = 0;
   };
 
-  void AcceptLoop();
   void HandleConnection(int fd);
   Status HandleCount(int fd, const WireMessage& message);
   Status HandleList(int fd, const WireMessage& message);
@@ -138,18 +137,6 @@ class QueryRouter {
   ShardSet* const shards_;
   const RouterOptions options_;
 
-  std::atomic<int> listen_fd_{-1};
-  uint16_t bound_port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  std::mutex connections_mutex_;
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-  };
-  std::vector<std::unique_ptr<Connection>> connections_;
-
   std::unique_ptr<ThreadPool> pool_;
 
   std::mutex conn_pool_mutex_;
@@ -163,6 +150,8 @@ class QueryRouter {
     HistogramMetric latency_micros;
   };
   std::vector<std::unique_ptr<ShardMetrics>> shard_metrics_;
+
+  Listener listener_;
 };
 
 }  // namespace opt

@@ -182,6 +182,10 @@ struct OptConfig {
   bool vertex_iterator;
 };
 
+// Without this, gtest prints the raw bytes of the config, and with them the
+// address of `name` and the padding, so the test names differ on every run.
+void PrintTo(const OptConfig& config, std::ostream* os) { *os << config.name; }
+
 class OptRunnerTest : public ::testing::TestWithParam<OptConfig> {};
 
 TEST_P(OptRunnerTest, MatchesOracleOnPaperGraph) {

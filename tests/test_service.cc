@@ -375,6 +375,57 @@ TEST(Wire, TracePullResultRejectsHostileCounts) {
             StatusCode::kCorruption);
 }
 
+TEST(Wire, ListBatchRejectsHostileCounts) {
+  // Four bytes claiming 2^32-1 records: the decoder must fail typed
+  // instead of reserving (and aborting on) a multi-GB vector.
+  const std::string probe("\xff\xff\xff\xff", 4);
+  ListBatch decoded;
+  EXPECT_EQ(DecodeListBatch(probe, &decoded).code(), StatusCode::kCorruption);
+
+  // One well-formed record header whose w-count claims 2^32-1 entries.
+  std::string hostile_k;
+  PutU32(&hostile_k, 1);  // one record
+  PutU32(&hostile_k, 7);  // u
+  PutU32(&hostile_k, 9);  // v
+  PutU32(&hostile_k, 0xFFFFFFFFu);  // k
+  PutU32(&hostile_k, 11);  // a single w
+  EXPECT_EQ(DecodeListBatch(hostile_k, &decoded).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(Wire, CountPrefixedFieldsAreBoundedByThePayload) {
+  constexpr uint32_t kHuge = 0xFFFFFFFFu;
+  std::string error;
+  PutU32(&error, static_cast<uint32_t>(StatusCode::kUnavailable));
+  PutString(&error, "degraded");
+  PutU32(&error, kHuge);  // flight events
+  ErrorResult error_out;
+  EXPECT_EQ(DecodeError(error, &error_out).code(), StatusCode::kCorruption);
+
+  std::string profile;
+  PutU64(&profile, 1);     // triangles
+  PutDouble(&profile, 0);  // seconds
+  PutU32(&profile, 1);     // iterations
+  for (int i = 0; i < 8; ++i) PutU64(&profile, 0);  // sampler counts
+  PutU32(&profile, kHuge);  // role_samples
+  ProfileResult profile_out;
+  EXPECT_EQ(DecodeProfileResult(profile, &profile_out).code(),
+            StatusCode::kCorruption);
+
+  std::string histograms;
+  PutString(&histograms, "text");
+  PutU32(&histograms, kHuge);
+  StatsResult stats_out;
+  EXPECT_EQ(DecodeStatsResult(histograms, &stats_out).code(),
+            StatusCode::kCorruption);
+  std::string counters;
+  PutString(&counters, "text");
+  PutU32(&counters, 0);  // no histograms
+  PutU32(&counters, kHuge);
+  EXPECT_EQ(DecodeStatsResult(counters, &stats_out).code(),
+            StatusCode::kCorruption);
+}
+
 TEST(Wire, PayloadReaderRejectsShortStrings) {
   std::string payload;
   PutU32(&payload, 100);  // claims 100 bytes, provides none
