@@ -15,6 +15,7 @@ using namespace opt;
 
 int main(int argc, char** argv) {
   auto ctx = bench::MakeContext(argc, argv);
+  IntersectScope kernel_scope(ctx.kernel.value_or(IntersectKernel::kAuto));
   bench::Banner("Ablation: exact vs approximate counting",
                 "Doulion sparsification and wedge sampling against the "
                 "exact ordered edge-iterator (R-MAT)");

@@ -31,6 +31,7 @@ uint64_t SuccWorkBound(const CSRGraph& g) {
 
 int main(int argc, char** argv) {
   auto ctx = bench::MakeContext(argc, argv);
+  IntersectScope kernel_scope(ctx.kernel.value_or(IntersectKernel::kAuto));
   bench::Banner("Ablation: vertex ordering",
                 "Ordered edge-iterator under different id assignments "
                 "(R-MAT power-law graph)");

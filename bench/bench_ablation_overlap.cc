@@ -36,8 +36,10 @@ struct RunConfig {
   uint64_t profile_period_micros = 250;  // bench runs are short
 };
 
-Result<RunMetrics> RunOnce(GraphStore* store, const RunConfig& config) {
+Result<RunMetrics> RunOnce(const bench::BenchContext& ctx, GraphStore* store,
+                           const RunConfig& config) {
   OptOptions options;
+  ctx.Apply(&options);
   options.m_in = std::max(config.m_in, store->MaxRecordPages());
   options.m_ex = std::max(1u, config.m_ex);
   options.macro_overlap = config.macro_overlap;
@@ -111,7 +113,7 @@ int main(int argc, char** argv) {
     config.m_in = budget / 2;
     config.m_ex = budget / 2;
     config.queue_depth = depth;
-    auto seconds = RunOnce(store->get(), config);
+    auto seconds = RunOnce(ctx, store->get(), config);
     if (!seconds.ok()) {
       std::fprintf(stderr, "%s\n", seconds.status().ToString().c_str());
       return 1;
@@ -130,7 +132,7 @@ int main(int argc, char** argv) {
     RunConfig config;
     config.m_in = std::max(1u, budget * in_pct / 100);
     config.m_ex = std::max(1u, budget - config.m_in);
-    auto seconds = RunOnce(store->get(), config);
+    auto seconds = RunOnce(ctx, store->get(), config);
     if (!seconds.ok()) {
       std::fprintf(stderr, "%s\n", seconds.status().ToString().c_str());
       return 1;
@@ -151,7 +153,7 @@ int main(int argc, char** argv) {
     config.m_in = budget / 2;
     config.m_ex = budget / 2;
     config.backward = backward;
-    auto metrics = RunOnce(store->get(), config);
+    auto metrics = RunOnce(ctx, store->get(), config);
     if (!metrics.ok()) {
       std::fprintf(stderr, "%s\n", metrics.status().ToString().c_str());
       return 1;
@@ -191,9 +193,9 @@ int main(int argc, char** argv) {
     // what actually measures the sampler.
     auto best_of = [&](bool profile) -> Result<RunMetrics> {
       config.profile = profile;
-      Result<RunMetrics> best = RunOnce(store->get(), config);
+      Result<RunMetrics> best = RunOnce(ctx, store->get(), config);
       for (int rep = 1; rep < 3 && best.ok(); ++rep) {
-        Result<RunMetrics> next = RunOnce(store->get(), config);
+        Result<RunMetrics> next = RunOnce(ctx, store->get(), config);
         if (!next.ok()) return next;
         if (next->seconds < best->seconds) best = next;
       }

@@ -16,6 +16,7 @@ using namespace opt;
 
 int main(int argc, char** argv) {
   auto ctx = bench::MakeContext(argc, argv);
+  IntersectScope kernel_scope(ctx.kernel.value_or(IntersectKernel::kAuto));
   bench::Banner("Extension: subgraph listing beyond triangles",
                 "Triangles vs 4-cliques vs k-truss on a clustered "
                 "Holme-Kim graph");

@@ -6,12 +6,14 @@
 //   --write_us N      emulated per-page write latency (µs)
 //   --threads  N      worker threads for parallel methods
 //   --work_dir PATH   where graph stores are materialized
-//   --kernel   K      intersection kernel: scalar|sse|avx2|bitmap|
-//                     bitmap_scalar|auto (default: leave the
-//                     auto-selected kernel in place)
+//   --kernel   K      intersection kernel: scalar|avx2|bitmap|
+//                     bitmap_scalar|auto (default auto)
 //   --hub_split S     hub/tail degree split for the bitmap kernels:
 //                     off|auto|pNN|<degree> (default auto; only
 //                     consulted under a bitmap kernel)
+// Both reach the runs through BenchContext::Apply (MethodConfig /
+// OptOptions); binaries with in-memory passes also install --kernel in
+// an IntersectScope on their main thread.
 // The latency injection stands in for the paper's direct-I/O FlashSSD:
 // it makes I/O cost proportional to pages touched even when the OS page
 // cache would otherwise hide it (DESIGN.md §3).
@@ -29,6 +31,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "core/opt_runner.h"
 #include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "harness/datasets.h"
@@ -52,15 +55,24 @@ struct BenchContext {
   std::string work_dir;
   int scale_shift = kDefaultShift;
   uint32_t threads = 2;
-  /// Set when --kernel was passed; already installed process-wide.
+  /// Set when --kernel was passed (already checked against the CPU).
   std::optional<IntersectKernel> kernel;
-  /// Set when --hub_split was passed; already installed as the
-  /// process-wide default split.
+  /// Set when --hub_split was passed.
   std::optional<HubSplitSpec> hub_split;
   /// --json_out PATH: where the unified bench report goes ("" = none).
   std::string json_out;
 
   Env* get_env() { return env.get(); }
+
+  /// Carries --kernel / --hub_split into a run's configuration.
+  void Apply(MethodConfig* config) const {
+    config->kernel = kernel;
+    config->hub_split = hub_split;
+  }
+  void Apply(OptOptions* options) const {
+    options->kernel = kernel;
+    options->hub_split = hub_split;
+  }
 };
 
 inline BenchContext MakeContext(int argc, char** argv) {
@@ -84,19 +96,13 @@ inline BenchContext MakeContext(int argc, char** argv) {
   ctx.env = std::make_unique<ThrottledEnv>(Env::Default(), read_us,
                                            write_us);
   if (cl->Has("kernel")) {
-    auto choice = cl->GetChoice(
-        "kernel", {"scalar", "sse", "avx2", "bitmap", "bitmap_scalar", "auto"},
-        "auto");
-    if (!choice.ok()) {
-      std::fprintf(stderr, "%s\n", choice.status().ToString().c_str());
+    auto parsed = ParseIntersectKernel(cl->GetString("kernel", "auto"));
+    if (parsed.ok()) parsed = ResolveIntersectKernel(*parsed);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
       std::exit(2);
     }
-    auto kernel = ParseIntersectKernel(*choice);
-    if (Status s = SetIntersectKernel(*kernel); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      std::exit(2);
-    }
-    ctx.kernel = *kernel;
+    ctx.kernel = *parsed;
   }
   if (cl->Has("hub_split")) {
     auto split = HubSplitSpec::Parse(cl->GetString("hub_split", "auto"));
@@ -104,7 +110,6 @@ inline BenchContext MakeContext(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
       std::exit(2);
     }
-    SetDefaultHubSplit(*split);
     ctx.hub_split = *split;
   }
   return ctx;

@@ -15,6 +15,7 @@ using namespace opt;
 
 int main(int argc, char** argv) {
   auto ctx = bench::MakeContext(argc, argv);
+  IntersectScope kernel_scope(ctx.kernel.value_or(IntersectKernel::kAuto));
   bench::Banner("Figure 3a",
                 "OPT_serial relative elapsed time vs buffer size "
                 "(1.0 = ideal: one scan + in-memory edge-iterator)");
@@ -41,6 +42,7 @@ int main(int argc, char** argv) {
     for (double percent : {5.0, 10.0, 15.0, 20.0, 25.0}) {
       const uint32_t buffer = PagesForBufferPercent(**store, percent);
       OptOptions options;
+      ctx.Apply(&options);
       options.m_in =
           std::max(buffer / 2, (*store)->MaxRecordPages());
       options.m_ex = std::max(1u, buffer / 2);

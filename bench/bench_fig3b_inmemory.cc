@@ -17,6 +17,7 @@ using namespace opt;
 
 int main(int argc, char** argv) {
   auto ctx = bench::MakeContext(argc, argv);
+  IntersectScope kernel_scope(ctx.kernel.value_or(IntersectKernel::kAuto));
   bench::Banner("Figure 3b",
                 "Relative elapsed time of in-memory methods and "
                 "OPT_serial (1.0 = ideal; in-memory methods include the "
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
       options.m_ex = std::max(1u, buffer / 2);
       options.macro_overlap = false;
       options.thread_morphing = false;
-      options.kernel = ctx.kernel;
+      ctx.Apply(&options);
       OptRunner runner(store->get(), &model, options);
       CountingSink sink;
       Stopwatch w;

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
     double opt_base = 0, chi_base = 0, opt_p = 0, chi_p = 0;
     for (uint32_t threads : {1u, 2u, 3u, 4u, 6u}) {
       MethodConfig config;
+      ctx.Apply(&config);
       config.memory_pages = PagesForBufferPercent(**store, 15.0);
       config.num_threads = threads;
       config.temp_dir = ctx.work_dir;
@@ -119,10 +120,6 @@ int main(int argc, char** argv) {
       sweep.hub_split = *HubSplitSpec::Parse(split_text);
       auto result = RunMethod(Method::kOpt, store->get(), ctx.get_env(),
                               sweep);
-      if (Status s = SetIntersectKernel(IntersectKernel::kAuto); !s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        return 1;
-      }
       if (!result.ok()) {
         std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
         return 1;

@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
          {Method::kOptSerial, Method::kMgt, Method::kGraphChiTriSerial,
           Method::kOpt, Method::kGraphChiTri}) {
       MethodConfig config;
+      ctx.Apply(&config);
       config.memory_pages = PagesForBufferPercent(**store, 15.0);
       config.num_threads = ctx.threads;
       config.temp_dir = ctx.work_dir;

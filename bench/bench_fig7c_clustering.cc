@@ -15,6 +15,7 @@ using namespace opt;
 
 int main(int argc, char** argv) {
   auto ctx = bench::MakeContext(argc, argv);
+  IntersectScope kernel_scope(ctx.kernel.value_or(IntersectKernel::kAuto));
   bench::Banner("Figure 7c",
                 "Elapsed time (s) vs clustering coefficient (Holme-Kim "
                 "generator, fixed |V| and average degree 10)");
@@ -54,6 +55,7 @@ int main(int argc, char** argv) {
     for (Method method :
          {Method::kOptSerial, Method::kMgt, Method::kOpt}) {
       MethodConfig config;
+      ctx.Apply(&config);
       config.memory_pages = PagesForBufferPercent(**store, 15.0);
       config.num_threads = ctx.threads;
       config.temp_dir = ctx.work_dir;

@@ -101,19 +101,6 @@ void BM_IntersectGallopingKernel(benchmark::State& state,
   ReportFromCounters(state, before, perf_before);
 }
 
-void BM_IntersectHash(benchmark::State& state) {
-  auto a = MakeSorted(static_cast<size_t>(state.range(0)), 1);
-  auto b = MakeSorted(static_cast<size_t>(state.range(1)), 2);
-  const IntersectCounters before = SnapshotIntersectCounters();
-  const PerfReading perf_before = ReadThreadPerfCounters();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectCountHash(a, b));
-  }
-  ReportFromCounters(state, before, perf_before);
-}
-BENCHMARK(BM_IntersectHash)->Args({64, 64})->Args({64, 4096})
-    ->Args({1024, 1024});
-
 void BM_IntersectAdaptive(benchmark::State& state) {
   auto a = MakeSorted(static_cast<size_t>(state.range(0)), 1);
   auto b = MakeSorted(static_cast<size_t>(state.range(1)), 2);
@@ -141,8 +128,7 @@ void RegisterIntersectKernelBenchmarks() {
   static const std::pair<size_t, size_t> kSizes[] = {
       {64, 64}, {64, 4096}, {1024, 1024}};
   for (IntersectKernel kernel :
-       {IntersectKernel::kScalar, IntersectKernel::kSse,
-        IntersectKernel::kAvx2}) {
+       {IntersectKernel::kScalar, IntersectKernel::kAvx2}) {
     if (!IntersectKernelSupported(kernel)) continue;
     for (const auto& [len_a, len_b] : kSizes) {
       const std::string suffix = std::string("<") +
@@ -240,7 +226,7 @@ uint64_t CountAllRouted(const CSRGraph& g) {
 void BM_HybridTriangles(benchmark::State& state, const CSRGraph* g,
                         IntersectKernel kernel, const std::string& split_text,
                         uint64_t expected) {
-  if (Status s = SetIntersectKernel(kernel); !s.ok()) {
+  if (Status s = ResolveIntersectKernel(kernel).status(); !s.ok()) {
     state.SkipWithError(s.ToString().c_str());
     return;
   }
@@ -253,7 +239,7 @@ void BM_HybridTriangles(benchmark::State& state, const CSRGraph* g,
     }
     index = HubBitmapIndex::Build(*g, *split);
   }
-  HubRoutingScope scope(index.num_hubs() > 0 ? &index : nullptr);
+  IntersectScope scope(kernel, index.num_hubs() > 0 ? &index : nullptr);
   const IntersectCounters before = SnapshotIntersectCounters();
   const PerfReading perf_before = ReadThreadPerfCounters();
   for (auto _ : state) {
@@ -272,7 +258,6 @@ void BM_HybridTriangles(benchmark::State& state, const CSRGraph* g,
                            : 0.0);
   state.counters["bitmap_bytes"] =
       benchmark::Counter(static_cast<double>(index.memory_bytes()));
-  (void)SetIntersectKernel(IntersectKernel::kAuto);
 }
 
 void RegisterHybridHubSweepBenchmarks() {
@@ -381,14 +366,14 @@ BENCHMARK(BM_PageParse);
 void BM_BufferPoolLookup(benchmark::State& state) {
   BufferPool pool(4096, 256);
   for (uint32_t pid = 0; pid < 128; ++pid) {
-    auto frame = pool.AllocateForRead(pid);
-    pool.MarkValid(*frame);
-    pool.Unpin(*frame);
+    auto fetched = pool.Fetch(pid);
+    pool.MarkValid(fetched->frame);
+    pool.Unpin(fetched->frame);
   }
   uint32_t pid = 0;
   for (auto _ : state) {
-    Frame* f = pool.LookupAndPin(pid % 128);
-    pool.Unpin(f);
+    auto fetched = pool.Fetch(pid % 128);
+    pool.Unpin(fetched->frame);
     ++pid;
   }
 }

@@ -11,6 +11,7 @@ using namespace opt;
 
 int main(int argc, char** argv) {
   auto ctx = bench::MakeContext(argc, argv);
+  IntersectScope kernel_scope(ctx.kernel.value_or(IntersectKernel::kAuto));
   bench::Banner("Table 2", "Basic statistics on the datasets (synthetic "
                            "stand-ins; see DESIGN.md for the mapping)");
 

@@ -54,6 +54,7 @@ ListingRun Measure(Env* env, const std::string& out_path, bool async_write,
 
 int main(int argc, char** argv) {
   auto ctx = bench::MakeContext(argc, argv);
+  IntersectScope kernel_scope(ctx.kernel.value_or(IntersectKernel::kAuto));
   bench::Banner("Table 3",
                 "Output writing times (sec): full triangle listing with "
                 "the nested representation; delta = listing - counting");
@@ -75,6 +76,7 @@ int main(int argc, char** argv) {
     // OPT_serial.
     {
       OptOptions options;
+      ctx.Apply(&options);
       options.m_in = std::max(buffer / 2, (*store)->MaxRecordPages());
       options.m_ex = std::max(1u, buffer / 2);
       options.macro_overlap = false;

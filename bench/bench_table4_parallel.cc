@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{rows[r].label};
     for (size_t d = 0; d < 4; ++d) {
       MethodConfig config;
+      ctx.Apply(&config);
       config.memory_pages = PagesForBufferPercent(*stores[d], 15.0);
       config.num_threads =
           rows[r].threads == 0 ? ctx.threads : rows[r].threads;

@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   uint64_t expected = 0;
   for (Method method : methods) {
     MethodConfig config;
+    ctx.Apply(&config);
     config.memory_pages = PagesForBufferPercent(**store, 10.0);
     config.num_threads = ctx.threads;
     config.temp_dir = ctx.work_dir;

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
 
   // OPT on one "node".
   MethodConfig config;
+  ctx.Apply(&config);
   config.memory_pages = PagesForBufferPercent(**store, 15.0);
   config.num_threads = ctx.threads;
   config.temp_dir = ctx.work_dir;

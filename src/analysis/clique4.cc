@@ -10,7 +10,10 @@ namespace opt {
 
 uint64_t Count4Cliques(const CSRGraph& g, uint32_t num_threads) {
   std::atomic<uint64_t> total{0};
+  // ParallelFor helpers start with no IntersectScope: carry the caller's.
+  const IntersectKernel kernel = ActiveIntersectKernel();
   ParallelFor(0, g.num_vertices(), num_threads, [&](size_t a_index) {
+    IntersectScope intersect_scope(kernel);
     const auto a = static_cast<VertexId>(a_index);
     uint64_t local = 0;
     std::vector<VertexId> common;

@@ -10,7 +10,10 @@ namespace opt {
 
 void EdgeIteratorInMemory(const CSRGraph& g, TriangleSink* sink,
                           uint32_t num_threads) {
+  // ParallelFor helpers start with no IntersectScope: carry the caller's.
+  const IntersectKernel kernel = ActiveIntersectKernel();
   ParallelFor(0, g.num_vertices(), num_threads, [&](size_t u_index) {
+    IntersectScope intersect_scope(kernel);
     const auto u = static_cast<VertexId>(u_index);
     std::vector<VertexId> ws;
     const auto succ_u = g.Successors(u);

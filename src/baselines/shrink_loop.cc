@@ -6,6 +6,7 @@
 
 #include "core/iterator_model.h"
 #include "core/page_range_view.h"
+#include "graph/intersect.h"
 #include "storage/record_scanner.h"
 #include "util/aligned_buffer.h"
 #include "util/stopwatch.h"
@@ -108,8 +109,11 @@ Status RunShrinkLoop(GraphStore* input, Env* env, TriangleSink* sink,
     // (i) Triangles whose two lowest vertices are both in the batch —
     // parallelizable (GraphChi-Tri parallelizes exactly this portion).
     Stopwatch parallel_watch;
+    // ParallelFor helpers start with no IntersectScope: carry the caller's.
+    const IntersectKernel kernel = ActiveIntersectKernel();
     ParallelFor(plan.v_lo, static_cast<size_t>(plan.v_hi) + 1,
                 options.num_threads, [&](size_t u) {
+                  IntersectScope intersect_scope(kernel);
                   ModelScratch scratch;
                   model.InternalTriangles(view, plan,
                                           static_cast<VertexId>(u), sink,

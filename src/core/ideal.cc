@@ -6,6 +6,7 @@
 #include "util/aligned_buffer.h"
 
 #include "core/page_range_view.h"
+#include "graph/intersect.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -42,7 +43,10 @@ Status RunIdeal(GraphStore* store, const IteratorModel& model,
   plan.pid_lo = 0;
   plan.pid_hi = pages - 1;
 
+  // ParallelFor helpers start with no IntersectScope: carry the caller's.
+  const IntersectKernel kernel = ActiveIntersectKernel();
   ParallelFor(0, pages, num_threads, [&](size_t pid) {
+    IntersectScope intersect_scope(kernel);
     ModelScratch scratch;
     PageView page(page_data[pid], page_size);
     const uint32_t slots = page.num_slots();

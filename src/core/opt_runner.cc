@@ -165,9 +165,12 @@ struct RunContext {
   std::vector<const char*> internal_page_data;
   PageRangeView internal_view;
 
-  // Hub routing (bitmap kernels): rebuilt from the internal view at the
-  // end of phase B, read-only while phase C workers run, so no
-  // synchronization is needed beyond the thread spawn/join edges.
+  // The run's resolved kernel, installed with the hub index in an
+  // IntersectScope around every work unit. Hub routing (bitmap kernels):
+  // the index is rebuilt from the internal view at the end of phase B
+  // and read-only while phase C workers run, so no synchronization is
+  // needed beyond the thread spawn/join edges.
+  IntersectKernel kernel = IntersectKernel::kAuto;
   bool hub_routing = false;
   HubBitmapIndex hub_index;
 
@@ -270,7 +273,8 @@ void CollectCandidatesFromPage(RunContext* ctx, const char* data) {
 void ProcessInternalPage(RunContext* ctx, uint32_t page_index,
                          ModelScratch* scratch) {
   Stopwatch watch;
-  HubRoutingScope hub_scope(ctx->hub_routing ? &ctx->hub_index : nullptr);
+  IntersectScope intersect_scope(
+      ctx->kernel, ctx->hub_routing ? &ctx->hub_index : nullptr);
   OverlapProfiler::SetWork(/*internal_work=*/true);
   if (!ctx->CheckCancel()) {
     PageView page(ctx->internal_page_data[page_index],
@@ -336,7 +340,8 @@ void PumpExternal(RunContext* ctx) {
 void ProcessChunk(RunContext* ctx, Chunk chunk,
                   std::vector<Frame*> frames) {
   Stopwatch watch;
-  HubRoutingScope hub_scope(ctx->hub_routing ? &ctx->hub_index : nullptr);
+  IntersectScope intersect_scope(
+      ctx->kernel, ctx->hub_routing ? &ctx->hub_index : nullptr);
   TraceSpan chunk_span(
       "opt", "external.chunk",
       CurrentTraceRecorder() != nullptr
@@ -578,9 +583,9 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
   if (options_.m_in == 0 || options_.m_ex == 0) {
     return Status::InvalidArgument("m_in and m_ex must be positive");
   }
-  if (options_.kernel.has_value()) {
-    OPT_RETURN_IF_ERROR(SetIntersectKernel(*options_.kernel));
-  }
+  OPT_ASSIGN_OR_RETURN(
+      const IntersectKernel kernel,
+      ResolveIntersectKernel(options_.kernel.value_or(IntersectKernel::kAuto)));
   if (options_.m_in < store_->MaxRecordPages()) {
     return Status::ResourceExhausted(
         "internal area (" + std::to_string(options_.m_in) +
@@ -645,15 +650,14 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
   ctx.engine = &engine;
   ctx.profiler = profiler.has_value() ? &*profiler : nullptr;
   ctx.flight = options_.flight;
+  ctx.kernel = kernel;
 
   OptRunStats run_stats;
   // Hub routing applies only under a bitmap kernel. Resolve the split
   // against the store's full-degree histogram once per run; per-hub
   // bitmaps are then materialized each iteration from the internal area.
-  if (IsBitmapKernel(ActiveIntersectKernel())) {
-    const HubSplitSpec split = options_.hub_split.has_value()
-                                   ? *options_.hub_split
-                                   : DefaultHubSplit();
+  if (IsBitmapKernel(kernel)) {
+    const HubSplitSpec split = options_.hub_split.value_or(HubSplitSpec());
     if (split.mode != HubSplitSpec::Mode::kOff) {
       OPT_ASSIGN_OR_RETURN(const std::vector<uint32_t> degrees,
                            store_->ComputeDegrees());
@@ -790,7 +794,7 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
 
     // Materialize this iteration's hub bitmaps from the internal view —
     // after the view is built, before any phase C thread spawns, so the
-    // index is immutable while workers read it through HubRoutingScope.
+    // index is immutable while workers read it through IntersectScope.
     if (ctx.hub_routing) {
       ctx.hub_index.Clear();
       for (VertexId v = ctx.plan.v_lo; v <= ctx.plan.v_hi; ++v) {

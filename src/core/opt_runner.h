@@ -55,17 +55,17 @@ struct OptOptions {
   /// order — an ablation knob that forfeits the saving.
   bool backward_external_order = true;
   /// Intersection kernel for the run's inner loops (ablation knob).
-  /// Unset leaves the process-wide dispatch table as-is (auto = best
-  /// CPU-supported kernel); a set value installs that kernel at Run()
-  /// start. Selection is process-wide, so concurrent runners with
-  /// different explicit kernels will interleave.
+  /// Unset means auto (the best CPU-supported merge kernel). Run()
+  /// resolves it once — an unsupported kernel fails with
+  /// InvalidArgument — and installs it, with the run's hub index, in an
+  /// IntersectScope around every work unit on every worker thread, so
+  /// concurrent runners with different kernels never observe each other.
   std::optional<IntersectKernel> kernel;
   /// Hub/tail split for the bitmap kernels (`--hub_split`). Only
-  /// consulted when the active kernel is a bitmap kernel: the run scans
+  /// consulted when the run's kernel is a bitmap kernel: the run scans
   /// the store's degree histogram once, resolves the split to a degree
   /// threshold, and materializes per-hub bitmaps each iteration from the
-  /// internal area. Unset falls back to the process-wide default
-  /// (SetDefaultHubSplit, itself defaulting to `auto`).
+  /// internal area. Unset means `auto`.
   std::optional<HubSplitSpec> hub_split;
   /// Externally owned pool (service mode). Pages survive across runs,
   /// so repeated queries hit instead of re-reading — the Δ I/O saving

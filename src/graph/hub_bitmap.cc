@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <mutex>
 
 namespace opt {
 
@@ -148,21 +147,8 @@ HubBitmapIndex HubBitmapIndex::Build(const CSRGraph& graph,
 }
 
 // ---------------------------------------------------------------------------
-// Routing scope + routed entry points.
+// Routed entry points.
 // ---------------------------------------------------------------------------
-
-namespace {
-thread_local const HubBitmapIndex* t_hub_index = nullptr;
-}  // namespace
-
-HubRoutingScope::HubRoutingScope(const HubBitmapIndex* index)
-    : prev_(t_hub_index) {
-  t_hub_index = index;
-}
-
-HubRoutingScope::~HubRoutingScope() { t_hub_index = prev_; }
-
-const HubBitmapIndex* CurrentHubBitmapIndex() { return t_hub_index; }
 
 namespace {
 
@@ -228,25 +214,6 @@ size_t Intersect(VertexId va, VertexId vb, std::span<const VertexId> a,
     }
   }
   return Intersect(a, b, out);
-}
-
-// ---------------------------------------------------------------------------
-// Process-wide default split.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::mutex g_split_mutex;
-HubSplitSpec g_default_split;  // default-constructed: auto
-}  // namespace
-
-void SetDefaultHubSplit(const HubSplitSpec& spec) {
-  std::lock_guard<std::mutex> lock(g_split_mutex);
-  g_default_split = spec;
-}
-
-HubSplitSpec DefaultHubSplit() {
-  std::lock_guard<std::mutex> lock(g_split_mutex);
-  return g_default_split;
 }
 
 }  // namespace opt

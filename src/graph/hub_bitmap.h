@@ -108,47 +108,18 @@ class HubBitmapIndex {
 };
 
 // ---------------------------------------------------------------------------
-// Thread-local routing scope. Workers install the (immutable) index for
-// the duration of a work unit; the routed Intersect overloads below
-// consult it. Thread-local so concurrent runs with different indexes
-// never observe each other.
-// ---------------------------------------------------------------------------
-
-class HubRoutingScope {
- public:
-  explicit HubRoutingScope(const HubBitmapIndex* index);
-  ~HubRoutingScope();
-  HubRoutingScope(const HubRoutingScope&) = delete;
-  HubRoutingScope& operator=(const HubRoutingScope&) = delete;
-
- private:
-  const HubBitmapIndex* prev_;
-};
-
-/// The index installed on this thread, or nullptr.
-const HubBitmapIndex* CurrentHubBitmapIndex();
-
-// ---------------------------------------------------------------------------
 // Routed entry points. `a` / `b` must be contiguous slices of va's / vb's
-// full sorted adjacency (see the header comment). When the active kernel
-// is a bitmap kernel and a routing scope is installed, hub pairs take
-// the bitmap path; otherwise these behave exactly like the span-only
-// Intersect / IntersectCount (adaptive merge/galloping). Results are
-// identical either way on duplicate-free inputs.
+// full sorted adjacency (see the header comment). When this thread's
+// IntersectScope (intersect.h) holds a bitmap kernel and a hub index,
+// hub pairs take the bitmap path; otherwise these behave exactly like
+// the span-only Intersect / IntersectCount (adaptive merge/galloping).
+// Results are identical either way on duplicate-free inputs.
 // ---------------------------------------------------------------------------
 
 size_t Intersect(VertexId va, VertexId vb, std::span<const VertexId> a,
                  std::span<const VertexId> b, std::vector<VertexId>* out);
 uint64_t IntersectCount(VertexId va, VertexId vb, std::span<const VertexId> a,
                         std::span<const VertexId> b);
-
-// ---------------------------------------------------------------------------
-// Process-wide default split (what `--hub_split` sets; consulted by the
-// runner when a run does not specify its own spec).
-// ---------------------------------------------------------------------------
-
-void SetDefaultHubSplit(const HubSplitSpec& spec);
-HubSplitSpec DefaultHubSplit();
 
 }  // namespace opt
 

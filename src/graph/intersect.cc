@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <mutex>
-#include <utility>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define OPT_INTERSECT_X86 1
@@ -148,80 +147,17 @@ void GallopGeneric(std::span<const VertexId> a, std::span<const VertexId> b,
   }
 }
 
-/// Hash-probe: open addressing over the smaller list, probed in order by
-/// the larger list so the output stays sorted. A per-entry multiplicity
-/// keeps duplicate semantics identical to std::set_intersection.
-template <class Emitter>
-void HashGeneric(std::span<const VertexId> a, std::span<const VertexId> b,
-                 Emitter& emit) {
-  if (a.size() > b.size()) return HashGeneric(b, a, emit);
-  if (a.empty()) return;
-  size_t capacity = 16;
-  while (capacity < a.size() * 2) capacity <<= 1;
-  const size_t mask = capacity - 1;
-  std::vector<std::pair<VertexId, uint32_t>> table(capacity);  // key, count
-  std::vector<uint8_t> occupied(capacity, 0);
-  auto slot_of = [mask](VertexId v) {
-    return static_cast<size_t>(
-               (static_cast<uint64_t>(v) * 0x9E3779B97F4A7C15ull) >> 32) &
-           mask;
-  };
-  for (VertexId v : a) {
-    size_t s = slot_of(v);
-    while (occupied[s] && table[s].first != v) s = (s + 1) & mask;
-    occupied[s] = 1;
-    table[s].first = v;
-    table[s].second++;
-  }
-  for (VertexId v : b) {
-    size_t s = slot_of(v);
-    while (occupied[s]) {
-      if (table[s].first == v) {
-        if (table[s].second > 0) {
-          emit.Emit(v);
-          table[s].second--;
-        }
-        break;
-      }
-      s = (s + 1) & mask;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// SSE4.1 / AVX2 kernels. Built with per-function target attributes so
-// the translation unit compiles for the portable baseline while the
-// vector bodies use wider ISAs; they are only ever called behind the
-// cpuid feature check below.
+// AVX2 kernels. Built with per-function target attributes so the
+// translation unit compiles for the portable baseline while the vector
+// bodies use AVX2; they are only ever called behind the cpuid feature
+// check below.
 // ---------------------------------------------------------------------------
 
 #ifdef OPT_INTERSECT_X86
 
-/// Lane-compaction tables: for each match bitmask, the shuffle that
+/// Lane-compaction table: for each match bitmask, the permutation that
 /// packs the matched lanes to the front of the register.
-struct SseCompactTable {
-  alignas(16) uint8_t shuffle[16][16];
-  SseCompactTable() {
-    for (int m = 0; m < 16; ++m) {
-      int out = 0;
-      for (int lane = 0; lane < 4; ++lane) {
-        if (m & (1 << lane)) {
-          for (int byte = 0; byte < 4; ++byte) {
-            shuffle[m][out * 4 + byte] =
-                static_cast<uint8_t>(lane * 4 + byte);
-          }
-          ++out;
-        }
-      }
-      for (; out < 4; ++out) {
-        for (int byte = 0; byte < 4; ++byte) {
-          shuffle[m][out * 4 + byte] = 0x80;  // zero the unused lanes
-        }
-      }
-    }
-  }
-};
-
 struct Avx2CompactTable {
   alignas(32) uint32_t index[256][8];
   Avx2CompactTable() {
@@ -235,17 +171,12 @@ struct Avx2CompactTable {
   }
 };
 
-const SseCompactTable& SseCompact() {
-  static const SseCompactTable table;
-  return table;
-}
-
 const Avx2CompactTable& Avx2Compact() {
   static const Avx2CompactTable table;
   return table;
 }
 
-/// True when the 4-wide window starting at `idx` contains a value equal
+/// True when the 8-wide window starting at `idx` contains a value equal
 /// to its predecessor (including the element just before the window).
 /// The block-merge only vectorizes windows that are strictly increasing
 /// *including both boundary elements*; any duplicate run touching the
@@ -255,19 +186,6 @@ const Avx2CompactTable& Avx2Compact() {
 /// emits a match and may advance only one block, so a duplicate of the
 /// matched value just past the advanced block's window would pair with
 /// the stationary block's still-unconsumed copy and be emitted twice.
-__attribute__((target("sse4.1"))) inline bool HasDupWindow4(
-    const VertexId* p, size_t idx, size_t n) {
-  if (idx + 4 < n && p[idx + 4] == p[idx + 3]) return true;
-  if (idx == 0) {
-    return p[1] == p[0] || p[2] == p[1] || p[3] == p[2];
-  }
-  const __m128i cur =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + idx));
-  const __m128i prev =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + idx - 1));
-  return _mm_movemask_epi8(_mm_cmpeq_epi32(cur, prev)) != 0;
-}
-
 __attribute__((target("avx2"))) inline bool HasDupWindow8(const VertexId* p,
                                                           size_t idx,
                                                           size_t n) {
@@ -285,56 +203,11 @@ __attribute__((target("avx2"))) inline bool HasDupWindow8(const VertexId* p,
   return _mm256_movemask_epi8(_mm256_cmpeq_epi32(cur, prev)) != 0;
 }
 
-/// SSE block-merge: compares a 4-block of `a` against every rotation of
-/// a 4-block of `b` (_mm_cmpeq_epi32 + _mm_shuffle_epi32), compacts the
-/// matched lanes with _mm_shuffle_epi8, then advances whichever block
-/// has the smaller maximum (both on a tie).
-template <class Emitter>
-__attribute__((target("sse4.1"))) void MergeSse(std::span<const VertexId> a,
-                                                std::span<const VertexId> b,
-                                                Emitter& emit) {
-  size_t i = 0, j = 0;
-  const size_t na = a.size(), nb = b.size();
-  if (na >= 4 && nb >= 4) {
-    const VertexId* pa = a.data();
-    const VertexId* pb = b.data();
-    const SseCompactTable& compact = SseCompact();
-    while (i + 4 <= na && j + 4 <= nb) {
-      if (HasDupWindow4(pa, i, na) || HasDupWindow4(pb, j, nb)) {
-        MergeScalarSteps(a, b, i, j, 4, emit);
-        continue;
-      }
-      const __m128i va =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa + i));
-      const __m128i vb =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb + j));
-      __m128i match = _mm_cmpeq_epi32(va, vb);
-      match = _mm_or_si128(
-          match, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x39)));
-      match = _mm_or_si128(
-          match, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x4E)));
-      match = _mm_or_si128(
-          match, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x93)));
-      const int mask = _mm_movemask_ps(_mm_castsi128_ps(match));
-      if (mask != 0) {
-        const __m128i packed = _mm_shuffle_epi8(
-            va, _mm_load_si128(reinterpret_cast<const __m128i*>(
-                    compact.shuffle[mask])));
-        alignas(16) VertexId tmp[4];
-        _mm_store_si128(reinterpret_cast<__m128i*>(tmp), packed);
-        emit.EmitPacked(tmp, __builtin_popcount(static_cast<unsigned>(mask)));
-      }
-      const VertexId a_max = pa[i + 3], b_max = pb[j + 3];
-      if (a_max <= b_max) i += 4;
-      if (b_max <= a_max) j += 4;
-    }
-  }
-  MergeScalarSteps(a, b, i, j, static_cast<size_t>(-1), emit);
-}
-
-/// AVX2 block-merge: the 8-wide version of MergeSse, rotating `b`'s
-/// block with _mm256_permutevar8x32_epi32 and compacting matches with a
-/// permutation-index table.
+/// AVX2 block-merge: compares an 8-block of `a` against every rotation
+/// of an 8-block of `b` (_mm256_cmpeq_epi32 after each
+/// _mm256_permutevar8x32_epi32), compacts the matched lanes with a
+/// permutation-index table, then advances whichever block has the
+/// smaller maximum (both on a tie).
 template <class Emitter>
 __attribute__((target("avx2"))) void MergeAvx2(std::span<const VertexId> a,
                                                std::span<const VertexId> b,
@@ -380,31 +253,6 @@ __attribute__((target("avx2"))) void MergeAvx2(std::span<const VertexId> a,
 /// Vectorized lower bound: binary-search narrows the range, then a SIMD
 /// linear scan counts elements < target (unsigned compare via the
 /// sign-flip trick). Loads never touch memory outside [lo, hi).
-__attribute__((target("sse4.1"))) size_t LowerBoundSse(const VertexId* data,
-                                                       size_t lo, size_t hi,
-                                                       VertexId target) {
-  while (hi - lo > 16) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (data[mid] < target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const __m128i sign = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i pivot =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(target)), sign);
-  while (lo + 4 <= hi) {
-    const __m128i v = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + lo)), sign);
-    const int lt = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(pivot, v)));
-    if (lt != 0xF) return lo + __builtin_popcount(static_cast<unsigned>(lt));
-    lo += 4;
-  }
-  while (lo < hi && data[lo] < target) ++lo;
-  return lo;
-}
-
 __attribute__((target("avx2"))) size_t LowerBoundAvx2(const VertexId* data,
                                                       size_t lo, size_t hi,
                                                       VertexId target) {
@@ -576,7 +424,7 @@ void ExtractAndRange(const DenseBitmap& a, const DenseBitmap& b, VertexId lo,
 }
 
 // ---------------------------------------------------------------------------
-// Feature detection + dispatch table.
+// Feature detection + dispatch.
 // ---------------------------------------------------------------------------
 
 bool CpuSupports(IntersectKernel kernel) {
@@ -585,12 +433,6 @@ bool CpuSupports(IntersectKernel kernel) {
     case IntersectKernel::kBitmapScalar:
     case IntersectKernel::kAuto:
       return true;
-    case IntersectKernel::kSse:
-#ifdef OPT_INTERSECT_X86
-      return __builtin_cpu_supports("sse4.1");
-#else
-      return false;
-#endif
     case IntersectKernel::kAvx2:
     case IntersectKernel::kBitmap:
 #ifdef OPT_INTERSECT_X86
@@ -602,9 +444,10 @@ bool CpuSupports(IntersectKernel kernel) {
   return false;
 }
 
-/// Active kernel index; kAuto means "not yet overridden" and resolves
-/// to BestIntersectKernel() on read.
-std::atomic<uint8_t> g_active{static_cast<uint8_t>(IntersectKernel::kAuto)};
+/// This thread's IntersectScope state; kAuto means "no scope" and
+/// resolves to BestIntersectKernel() on read.
+thread_local IntersectKernel t_kernel = IntersectKernel::kAuto;
+thread_local const HubBitmapIndex* t_hubs = nullptr;
 
 /// Runs the resolved (concrete, supported) kernel's merge.
 template <class Emitter>
@@ -613,8 +456,6 @@ void MergeDispatch(IntersectKernel kernel, std::span<const VertexId> a,
   CountCall(kernel, a.size() + b.size());
   switch (kernel) {
 #ifdef OPT_INTERSECT_X86
-    case IntersectKernel::kSse:
-      return MergeSse(a, b, emit);
     case IntersectKernel::kAvx2:
       return MergeAvx2(a, b, emit);
 #endif
@@ -629,8 +470,6 @@ void GallopDispatch(IntersectKernel kernel, std::span<const VertexId> a,
   CountCall(kernel, a.size() + b.size());
   switch (kernel) {
 #ifdef OPT_INTERSECT_X86
-    case IntersectKernel::kSse:
-      return GallopGeneric(a, b, &LowerBoundSse, emit);
     case IntersectKernel::kAvx2:
       return GallopGeneric(a, b, &LowerBoundAvx2, emit);
 #endif
@@ -641,7 +480,7 @@ void GallopDispatch(IntersectKernel kernel, std::span<const VertexId> a,
 
 /// kAuto → best supported; unsupported concrete kernel → scalar. The
 /// bitmap kernels only exist for the bitmap entry points, so a raw
-/// sorted-span call under an active bitmap kernel falls back to the
+/// sorted-span call under a scoped bitmap kernel falls back to the
 /// matching merge tier: kBitmap (AVX2 popcount) → best merge kernel,
 /// kBitmapScalar → scalar merge. This is what the long tail runs when
 /// hub routing declines a pair.
@@ -673,8 +512,6 @@ const char* IntersectKernelName(IntersectKernel kernel) {
   switch (kernel) {
     case IntersectKernel::kScalar:
       return "scalar";
-    case IntersectKernel::kSse:
-      return "sse";
     case IntersectKernel::kAvx2:
       return "avx2";
     case IntersectKernel::kBitmap:
@@ -694,7 +531,6 @@ bool IntersectKernelSupported(IntersectKernel kernel) {
 IntersectKernel BestIntersectKernel() {
   static const IntersectKernel best = [] {
     if (CpuSupports(IntersectKernel::kAvx2)) return IntersectKernel::kAvx2;
-    if (CpuSupports(IntersectKernel::kSse)) return IntersectKernel::kSse;
     return IntersectKernel::kScalar;
   }();
   return best;
@@ -702,17 +538,17 @@ IntersectKernel BestIntersectKernel() {
 
 Result<IntersectKernel> ParseIntersectKernel(const std::string& name) {
   for (IntersectKernel k :
-       {IntersectKernel::kScalar, IntersectKernel::kSse,
-        IntersectKernel::kAvx2, IntersectKernel::kBitmap,
-        IntersectKernel::kBitmapScalar, IntersectKernel::kAuto}) {
+       {IntersectKernel::kScalar, IntersectKernel::kAvx2,
+        IntersectKernel::kBitmap, IntersectKernel::kBitmapScalar,
+        IntersectKernel::kAuto}) {
     if (name == IntersectKernelName(k)) return k;
   }
   return Status::InvalidArgument(
       "unknown intersect kernel '" + name +
-      "' (expected scalar|sse|avx2|bitmap|bitmap_scalar|auto)");
+      "' (expected scalar|avx2|bitmap|bitmap_scalar|auto)");
 }
 
-Status SetIntersectKernel(IntersectKernel kernel) {
+Result<IntersectKernel> ResolveIntersectKernel(IntersectKernel kernel) {
   if (!CpuSupports(kernel)) {
     if (kernel == IntersectKernel::kBitmap) {
       return Status::InvalidArgument(
@@ -724,15 +560,27 @@ Status SetIntersectKernel(IntersectKernel kernel) {
         std::string("intersect kernel '") + IntersectKernelName(kernel) +
         "' is not supported by this CPU");
   }
-  g_active.store(static_cast<uint8_t>(kernel), std::memory_order_relaxed);
-  return Status::OK();
+  return kernel == IntersectKernel::kAuto ? BestIntersectKernel() : kernel;
+}
+
+IntersectScope::IntersectScope(IntersectKernel kernel,
+                               const HubBitmapIndex* hubs)
+    : prev_kernel_(t_kernel), prev_hubs_(t_hubs) {
+  t_kernel = kernel;
+  t_hubs = hubs;
+}
+
+IntersectScope::~IntersectScope() {
+  t_kernel = prev_kernel_;
+  t_hubs = prev_hubs_;
 }
 
 IntersectKernel ActiveIntersectKernel() {
-  const auto raw =
-      static_cast<IntersectKernel>(g_active.load(std::memory_order_relaxed));
-  return raw == IntersectKernel::kAuto ? BestIntersectKernel() : raw;
+  return t_kernel == IntersectKernel::kAuto ? BestIntersectKernel()
+                                            : t_kernel;
 }
+
+const HubBitmapIndex* CurrentHubBitmapIndex() { return t_hubs; }
 
 IntersectCounters SnapshotIntersectCounters() {
   CounterRegistry& r = Registry();
@@ -802,15 +650,6 @@ size_t IntersectGalloping(std::span<const VertexId> a,
   return IntersectGallopingWith(IntersectKernel::kScalar, a, b, out);
 }
 
-size_t IntersectHash(std::span<const VertexId> a, std::span<const VertexId> b,
-                     std::vector<VertexId>* out) {
-  CountCall(IntersectKernel::kScalar, a.size() + b.size());
-  AppendEmitter emit{out};
-  const size_t before = out->size();
-  HashGeneric(a, b, emit);
-  return out->size() - before;
-}
-
 uint64_t IntersectCountMerge(std::span<const VertexId> a,
                              std::span<const VertexId> b) {
   return IntersectCountMergeWith(IntersectKernel::kScalar, a, b);
@@ -819,14 +658,6 @@ uint64_t IntersectCountMerge(std::span<const VertexId> a,
 uint64_t IntersectCountGalloping(std::span<const VertexId> a,
                                  std::span<const VertexId> b) {
   return IntersectCountGallopingWith(IntersectKernel::kScalar, a, b);
-}
-
-uint64_t IntersectCountHash(std::span<const VertexId> a,
-                            std::span<const VertexId> b) {
-  CountCall(IntersectKernel::kScalar, a.size() + b.size());
-  CountEmitter emit;
-  HashGeneric(a, b, emit);
-  return emit.count;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 // Sorted-list intersection kernels — the inner loop of every iterator
-// model. Three scalar strategies: linear merge, galloping (for skewed
-// list sizes), and hash-probe (the O(min(|a|,|b|)) variant the paper's
-// cost analysis assumes, Eq. 3). The merge and galloping strategies also
-// exist as SSE4.1 and AVX2 kernels (block-merge with cmpeq/shuffle
-// compaction; galloping with a vectorized lower-bound probe), selected
-// at runtime through a CPU-feature dispatch table so one binary runs the
-// best kernel the host supports.
+// model. Two scalar strategies: linear merge and galloping (for skewed
+// list sizes). Both also exist as AVX2 kernels (8-wide block-merge with
+// cmpeq/permute compaction; galloping with a vectorized lower-bound
+// probe), selected by a cpuid feature check so one binary runs the best
+// kernel the host supports.
 //
 // All kernels agree with std::set_intersection on any sorted input,
 // including duplicates (the SIMD block-merge detects duplicate runs and
@@ -33,21 +31,22 @@
 
 namespace opt {
 
+class HubBitmapIndex;
+
 // ---------------------------------------------------------------------------
-// Kernel selection (process-wide dispatch table).
+// Kernel selection.
 // ---------------------------------------------------------------------------
 
 enum class IntersectKernel : uint8_t {
   kScalar = 0,  // portable C++ (always available)
-  kSse = 1,     // SSE4.1 4-wide block-merge + SSE lower-bound galloping
-  kAvx2 = 2,    // AVX2 8-wide block-merge + AVX2 lower-bound galloping
-  kBitmap = 3,  // hub bitmaps, AVX2 AND+popcount (requires AVX2)
-  kBitmapScalar = 4,  // hub bitmaps, portable 64-bit popcount
-  kAuto = 5,    // resolve to the best CPU-supported *merge* kernel
+  kAvx2 = 1,    // AVX2 8-wide block-merge + AVX2 lower-bound galloping
+  kBitmap = 2,  // hub bitmaps, AVX2 AND+popcount (requires AVX2)
+  kBitmapScalar = 3,  // hub bitmaps, portable 64-bit popcount
+  kAuto = 4,    // resolve to the best CPU-supported *merge* kernel
 };
 
 /// Number of concrete kernels (kAuto is a selector, not a kernel).
-inline constexpr int kNumIntersectKernels = 5;
+inline constexpr int kNumIntersectKernels = 4;
 
 /// True for the bitmap family (hub routing enabled when active).
 inline constexpr bool IsBitmapKernel(IntersectKernel kernel) {
@@ -66,22 +65,48 @@ bool IntersectKernelSupported(IntersectKernel kernel);
 /// materialized bitmap, so they are opt-in via `--kernel bitmap`.
 IntersectKernel BestIntersectKernel();
 
-/// Parses "scalar" | "sse" | "avx2" | "bitmap" | "bitmap_scalar" |
-/// "auto" (the CLI knob).
+/// Parses "scalar" | "avx2" | "bitmap" | "bitmap_scalar" | "auto" (the
+/// `--kernel` CLI knob); anything else is InvalidArgument.
 Result<IntersectKernel> ParseIntersectKernel(const std::string& name);
 
-/// Installs the process-wide kernel used by the dispatched Intersect /
-/// IntersectCount entry points. kAuto restores best-supported. Returns
-/// InvalidArgument for a kernel the host CPU cannot execute — in
-/// particular `bitmap` on hosts without AVX2 (select `bitmap_scalar`
-/// explicitly for the portable popcount fallback). Selection is
-/// process-wide: concurrent runs share it (an ablation knob, not a
-/// per-run isolation boundary).
-Status SetIntersectKernel(IntersectKernel kernel);
+/// The concrete kernel a run executes for a requested one: kAuto
+/// resolves to BestIntersectKernel(). Returns InvalidArgument for a
+/// kernel the host CPU cannot execute — in particular `bitmap` on hosts
+/// without AVX2 (select `bitmap_scalar` explicitly for the portable
+/// popcount fallback).
+Result<IntersectKernel> ResolveIntersectKernel(IntersectKernel kernel);
 
-/// The kernel the dispatched entry points currently run (kAuto already
-/// resolved to a concrete kernel).
+// ---------------------------------------------------------------------------
+// Per-thread kernel scope. A run resolves its kernel once and installs
+// it, together with its hub index (bitmap kernels only), on every thread
+// for the duration of each work unit; the dispatched Intersect /
+// IntersectCount entry points (and the hub-routed overloads in
+// hub_bitmap.h) read it. Scopes nest and restore the previous one on
+// destruction. A thread with no scope runs BestIntersectKernel(), so one
+// run's kernel never leaks into concurrent or later work.
+// ---------------------------------------------------------------------------
+
+class IntersectScope {
+ public:
+  /// kAuto installs BestIntersectKernel(). `hubs` (nullable, must
+  /// outlive the scope) is only consulted under a bitmap kernel.
+  explicit IntersectScope(IntersectKernel kernel,
+                          const HubBitmapIndex* hubs = nullptr);
+  ~IntersectScope();
+  IntersectScope(const IntersectScope&) = delete;
+  IntersectScope& operator=(const IntersectScope&) = delete;
+
+ private:
+  IntersectKernel prev_kernel_;
+  const HubBitmapIndex* prev_hubs_;
+};
+
+/// The kernel this thread's dispatched entry points run: the innermost
+/// scope's, else BestIntersectKernel().
 IntersectKernel ActiveIntersectKernel();
+
+/// The hub index installed on this thread, or nullptr.
+const HubBitmapIndex* CurrentHubBitmapIndex();
 
 // ---------------------------------------------------------------------------
 // Per-kernel instrumentation. Counters are process-wide, aggregated
@@ -92,7 +117,7 @@ IntersectKernel ActiveIntersectKernel();
 struct IntersectCounters {
   /// Kernel invocations, indexed by IntersectKernel (concrete kernels).
   uint64_t calls[kNumIntersectKernels] = {};
-  /// Elements consumed per call, same indexing. Merge/galloping/hash
+  /// Elements consumed per call, same indexing. Merge/galloping
   /// count |a| + |b|; bitmap kernels count the probe-list length plus
   /// the dense side's set-bit population (their unit of work).
   uint64_t elements[kNumIntersectKernels] = {};
@@ -162,19 +187,11 @@ size_t IntersectGalloping(std::span<const VertexId> a,
                           std::span<const VertexId> b,
                           std::vector<VertexId>* out);
 
-/// Hash-probe: builds an open-addressing table over the smaller list and
-/// probes it with the larger — the O(1)-per-probe kernel the paper's
-/// Eq. 3 cost model assumes.
-size_t IntersectHash(std::span<const VertexId> a, std::span<const VertexId> b,
-                     std::vector<VertexId>* out);
-
 /// Count-only variants (no output materialization) for counting sinks.
 uint64_t IntersectCountMerge(std::span<const VertexId> a,
                              std::span<const VertexId> b);
 uint64_t IntersectCountGalloping(std::span<const VertexId> a,
                                  std::span<const VertexId> b);
-uint64_t IntersectCountHash(std::span<const VertexId> a,
-                            std::span<const VertexId> b);
 
 // ---------------------------------------------------------------------------
 // Bitmap kernels (the DODG hub path). A DenseBitmap materializes a
@@ -239,8 +256,8 @@ size_t IntersectBitmapDenseWith(IntersectKernel kernel, const DenseBitmap& a,
 
 // ---------------------------------------------------------------------------
 // Dispatched adaptive entry points (what the iterator models call):
-// picks merge vs galloping from the size ratio, then runs the active
-// kernel from the dispatch table.
+// picks merge vs galloping from the size ratio, then runs this thread's
+// ActiveIntersectKernel().
 // ---------------------------------------------------------------------------
 
 size_t Intersect(std::span<const VertexId> a, std::span<const VertexId> b,

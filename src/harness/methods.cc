@@ -171,14 +171,14 @@ Result<MethodResult> RunMethodImpl(Method method, GraphStore* store, Env* env,
 
 Result<MethodResult> RunMethod(Method method, GraphStore* store, Env* env,
                                const MethodConfig& config) {
-  if (config.kernel.has_value()) {
-    OPT_RETURN_IF_ERROR(SetIntersectKernel(*config.kernel));
-  }
-  const IntersectKernel kernel_used = ActiveIntersectKernel();
+  OPT_ASSIGN_OR_RETURN(
+      const IntersectKernel kernel,
+      ResolveIntersectKernel(config.kernel.value_or(IntersectKernel::kAuto)));
+  IntersectScope intersect_scope(kernel);
   const IntersectCounters before = SnapshotIntersectCounters();
   Result<MethodResult> result = RunMethodImpl(method, store, env, config);
   if (result.ok()) {
-    result->kernel_used = kernel_used;
+    result->kernel_used = kernel;
     result->intersect =
         IntersectCounters::Delta(SnapshotIntersectCounters(), before);
   }

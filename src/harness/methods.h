@@ -37,13 +37,13 @@ struct MethodConfig {
   uint32_t num_threads = 2;
   uint32_t io_queue_depth = 16;
   std::string temp_dir = "/tmp";
-  /// Intersection kernel ablation knob; unset keeps the process-wide
-  /// dispatch table (auto = best CPU-supported). Applies to every
-  /// method, since they all funnel through the Intersect entry points.
+  /// Intersection kernel ablation knob; unset means auto (best
+  /// CPU-supported). Applies to every method: RunMethod installs it in
+  /// an IntersectScope for the run, and the OPT variants pass it on.
   std::optional<IntersectKernel> kernel;
   /// Hub/tail split for the bitmap kernels (`--hub_split`); only the
   /// OPT variants consult it, and only under a bitmap kernel. Unset
-  /// falls back to the process-wide default (auto).
+  /// means auto.
   std::optional<HubSplitSpec> hub_split;
 };
 
@@ -56,7 +56,7 @@ struct MethodResult {
   uint32_t iterations = 0;
   /// Amdahl parallel fraction where the method reports one (else 0).
   double parallel_fraction = 0;
-  /// Kernel the dispatch table ran during this invocation.
+  /// Kernel this invocation ran (kAuto already resolved).
   IntersectKernel kernel_used = IntersectKernel::kScalar;
   /// Per-kernel intersection counters, measured across this run.
   IntersectCounters intersect;

@@ -89,19 +89,6 @@ void BufferPool::DropPageLocked(PageKey key) {
   page_table_.erase(key);
 }
 
-Frame* BufferPool::LookupAndPin(PageKey key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-  auto it = page_table_.find(key);
-  if (it == page_table_.end()) return nullptr;
-  Frame& frame = frames_[it->second];
-  if (!frame.valid) return nullptr;  // read still in flight elsewhere
-  ++frame.pins;
-  TouchLru(key);
-  stats_.hits.fetch_add(1, std::memory_order_relaxed);
-  return &frame;
-}
-
 Result<Frame*> BufferPool::AllocateLocked(PageKey key) {
   stats_.allocations.fetch_add(1, std::memory_order_relaxed);
   uint32_t frame_index;
@@ -164,15 +151,6 @@ Result<BufferPool::FetchResult> BufferPool::Fetch(PageKey key) {
   counters.misses->Increment();
   OPT_ASSIGN_OR_RETURN(Frame * frame, AllocateLocked(key));
   return FetchResult{frame, FetchOutcome::kMiss};
-}
-
-Result<Frame*> BufferPool::AllocateForRead(PageKey key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (page_table_.count(key) != 0) {
-    return Status::Internal("buffer pool: page already present; racy "
-                            "callers must use Fetch()");
-  }
-  return AllocateLocked(key);
 }
 
 void BufferPool::MarkValid(Frame* frame) {
@@ -256,57 +234,36 @@ void BufferPool::Unpin(Frame* frame) {
     // to the free list except here.
     auto it = page_table_.find(frame->key);
     if (it == page_table_.end() || it->second != frame->index) {
-      frame->valid = false;
-      frame->failed = false;
-      frame->key = kInvalidPageKey;
-      free_frames_.push_back(frame->index);
+      FreeFrameLocked(frame);
     }
   }
+}
+
+void BufferPool::FreeFrameLocked(Frame* frame) {
+  frame->valid = false;
+  frame->failed = false;
+  frame->key = kInvalidPageKey;
+  free_frames_.push_back(frame->index);
 }
 
 void BufferPool::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = page_table_.begin(); it != page_table_.end();) {
-    Frame& frame = frames_[it->second];
-    if (frame.pins == 0) {
-      auto pos = lru_pos_.find(it->first);
-      if (pos != lru_pos_.end()) {
-        lru_.erase(pos->second);
-        lru_pos_.erase(pos);
-      }
-      frame.valid = false;
-      frame.failed = false;
-      frame.key = kInvalidPageKey;
-      free_frames_.push_back(it->second);
-      it = page_table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  DropUnpinnedLocked(std::nullopt);
 }
 
 void BufferPool::DropOwner(uint32_t owner) {
   std::lock_guard<std::mutex> lock(mutex_);
+  DropUnpinnedLocked(owner);
+}
+
+void BufferPool::DropUnpinnedLocked(std::optional<uint32_t> owner) {
   for (auto it = page_table_.begin(); it != page_table_.end();) {
-    if (PageKeyOwner(it->first) != owner) {
-      ++it;
-      continue;
-    }
-    Frame& frame = frames_[it->second];
-    if (frame.pins == 0) {
-      auto pos = lru_pos_.find(it->first);
-      if (pos != lru_pos_.end()) {
-        lru_.erase(pos->second);
-        lru_pos_.erase(pos);
-      }
-      frame.valid = false;
-      frame.failed = false;
-      frame.key = kInvalidPageKey;
-      free_frames_.push_back(it->second);
-      it = page_table_.erase(it);
-    } else {
-      ++it;
-    }
+    const auto [key, index] = *it++;  // advance first: the drop erases key
+    Frame& frame = frames_[index];
+    if (frame.pins != 0) continue;
+    if (owner.has_value() && PageKeyOwner(key) != *owner) continue;
+    DropPageLocked(key);
+    FreeFrameLocked(&frame);
   }
 }
 

@@ -24,6 +24,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -123,18 +124,8 @@ class BufferPool {
   /// pinned.
   Result<FetchResult> Fetch(PageKey key);
 
-  /// If `key` is cached and valid, pins it and returns the frame
-  /// (a Δ-I/O saving); otherwise returns nullptr.
-  Frame* LookupAndPin(PageKey key);
-
-  /// Fetch() restricted to the kMiss case: allocates (evicting an
-  /// unpinned frame if needed) a pinned, invalid frame for `key`, which
-  /// must not already be present (Internal error otherwise — racy
-  /// callers must use Fetch()).
-  Result<Frame*> AllocateForRead(PageKey key);
-
-  /// Marks a frame's content as complete; it becomes LookupAndPin-able
-  /// and WaitValid() returns OK.
+  /// Marks a frame's content as complete: later fetches of its page are
+  /// kHit and WaitValid() returns OK.
   void MarkValid(Frame* frame);
 
   /// Marks an owned read as failed: the page is dropped from the table
@@ -185,8 +176,13 @@ class BufferPool {
   void TouchLru(PageKey key);
   void EnsureFramesLocked(uint32_t min_frames);
   void DropPageLocked(PageKey key);
-  /// Allocation half of Fetch/AllocateForRead; `key` must be absent.
+  /// Allocation half of Fetch; `key` must be absent.
   Result<Frame*> AllocateLocked(PageKey key);
+  /// Returns a frame no longer in the page table to the free list.
+  void FreeFrameLocked(Frame* frame);
+  /// Drops every unpinned page (of `owner` only, when given) and frees
+  /// its frame: the shared body of Clear() and DropOwner().
+  void DropUnpinnedLocked(std::optional<uint32_t> owner);
 
   const uint32_t page_size_;
   std::atomic<uint32_t> num_frames_;

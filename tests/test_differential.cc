@@ -7,9 +7,12 @@
 // with seeded FaultPlans, asserting each run either surfaces the typed
 // Unavailable or produces the exact result — never a silently wrong
 // count. Failing fault trials print a one-line `--fault-plan` repro.
+// Kernel-isolation tests check that a run's kernel and hub index stay
+// inside that run, also with two runners at once.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/iterator_model.h"
@@ -85,8 +88,10 @@ OptOptions MakeOptions(const Split& split, uint32_t threads, bool morph,
 class DifferentialTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    // options.kernel installs process-wide; restore auto-selection.
-    ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kAuto).ok());
+    // options.kernel is scoped to each run's work units: nothing may
+    // stay installed on the calling thread once Run() returns.
+    EXPECT_EQ(ActiveIntersectKernel(), BestIntersectKernel());
+    EXPECT_EQ(CurrentHubBitmapIndex(), nullptr);
   }
 };
 
@@ -384,6 +389,74 @@ TEST_F(DifferentialTest, SeededFaultPlansNeverYieldWrongCounts) {
     }
   }
   EXPECT_GT(healed, 0);
+}
+
+TEST(KernelIsolationTest, RunLeavesNoKernelBehindOnItsThread) {
+  // A forced kernel belongs to its run: once Run() returns, plain
+  // intersections on the same thread are back on the auto kernel.
+  CSRGraph g = MakeRmat(5);
+  auto store = testutil::MakeStore(g, Env::Default(), "kernel_leak", 256);
+  EdgeIteratorModel model;
+  OptRunner runner(store.get(), &model,
+                   MakeOptions(MakeSplits(*store)[0], 1, false, true,
+                               IntersectKernel::kScalar));
+  CountingSink sink;
+  const Status s = runner.Run(&sink, nullptr);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(sink.count(), testutil::OracleTriangles(g).size());
+
+  const std::vector<VertexId> a{1, 2, 3, 5, 8, 13};
+  const std::vector<VertexId> b{2, 3, 4, 5, 6, 7};
+  const IntersectCounters before = SnapshotIntersectCounters();
+  EXPECT_EQ(IntersectCount(a, b), 3u);
+  const IntersectCounters delta =
+      IntersectCounters::Delta(SnapshotIntersectCounters(), before);
+  EXPECT_EQ(delta.calls[static_cast<int>(BestIntersectKernel())], 1u)
+      << IntersectKernelName(BestIntersectKernel());
+  EXPECT_EQ(delta.TotalCalls(), 1u);
+}
+
+TEST(KernelIsolationTest, ConcurrentRunnersWithDifferentKernelsStayExact) {
+  // Two runners on one store at once — one on the bitmap path with every
+  // vertex a hub, one on scalar merge. Each must see only its own
+  // kernel and hub index: both counts exact, and the bitmap run really
+  // routed through bitmaps.
+  CSRGraph g = MakeRmat(11);
+  const uint64_t oracle = testutil::OracleTriangles(g).size();
+  ASSERT_GT(oracle, 0u);
+  auto store =
+      testutil::MakeStore(g, Env::Default(), "kernel_isolation", 256);
+  const Split split = MakeSplits(*store)[0];
+  const IntersectKernel bitmap =
+      IntersectKernelSupported(IntersectKernel::kBitmap)
+          ? IntersectKernel::kBitmap
+          : IntersectKernel::kBitmapScalar;
+  EdgeIteratorModel model;
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    OptOptions bitmap_options =
+        MakeOptions(split, 2, true, true, bitmap);
+    bitmap_options.hub_split = *HubSplitSpec::Parse("0");
+    const OptOptions scalar_options =
+        MakeOptions(split, 2, true, true, IntersectKernel::kScalar);
+    CountingSink bitmap_sink, scalar_sink;
+    OptRunStats bitmap_stats;
+    Status bitmap_status, scalar_status;
+    std::thread bitmap_thread([&] {
+      OptRunner runner(store.get(), &model, bitmap_options);
+      bitmap_status = runner.Run(&bitmap_sink, &bitmap_stats);
+    });
+    {
+      OptRunner runner(store.get(), &model, scalar_options);
+      scalar_status = runner.Run(&scalar_sink, nullptr);
+    }
+    bitmap_thread.join();
+    ASSERT_TRUE(bitmap_status.ok()) << bitmap_status.ToString();
+    ASSERT_TRUE(scalar_status.ok()) << scalar_status.ToString();
+    EXPECT_EQ(bitmap_sink.count(), oracle);
+    EXPECT_EQ(scalar_sink.count(), oracle);
+    EXPECT_GT(bitmap_stats.hub_bitmaps_built, 0u);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Randomized differential tests for every intersection kernel variant
-// (scalar merge/galloping/hash, SSE, AVX2, and the hub bitmap kernels)
+// (scalar merge/galloping, AVX2, and the hub bitmap kernels)
 // against a std::set_intersection oracle, over adversarial inputs:
 // empty lists, singletons, all-equal lists, no-overlap interleavings,
 // duplicates at SIMD block boundaries, lengths straddling register
 // tails (7/8/9, 15/16/17), ids straddling 64-bit word and 256-bit lane
-// boundaries, and heavily skewed hub/tail size ratios. Also covers the
-// dispatch table itself (parse/set/active, per-kernel counters, the
-// bitmap AVX2 feature probe) and the hub-routed entry points over
+// boundaries, and heavily skewed hub/tail size ratios. Also covers
+// kernel selection itself (parse/resolve/scope, per-kernel counters,
+// the bitmap AVX2 feature probe) and the hub-routed entry points over
 // random contiguous adjacency slices.
 //
 // The bitmap fuzz volume is tunable without a rebuild:
@@ -37,12 +37,12 @@ std::vector<VertexId> Oracle(const std::vector<VertexId>& a,
   return out;
 }
 
-constexpr IntersectKernel kAllKernels[] = {
-    IntersectKernel::kScalar, IntersectKernel::kSse, IntersectKernel::kAvx2};
+constexpr IntersectKernel kAllKernels[] = {IntersectKernel::kScalar,
+                                           IntersectKernel::kAvx2};
 
-/// Checks every kernel variant (merge, galloping, hash; materializing
-/// and counting) against the oracle for one input pair. On hosts
-/// without SSE/AVX2 those rows degrade to scalar (still checked).
+/// Checks every kernel variant (merge, galloping; materializing and
+/// counting) against the oracle for one input pair. On hosts without
+/// AVX2 those rows degrade to scalar (still checked).
 void CheckAllVariants(const std::vector<VertexId>& a,
                       const std::vector<VertexId>& b,
                       const std::string& label) {
@@ -65,10 +65,6 @@ void CheckAllVariants(const std::vector<VertexId>& a,
     ASSERT_EQ(IntersectCountGallopingWith(kernel, a, b), expected.size())
         << tag;
   }
-  std::vector<VertexId> hashed;
-  ASSERT_EQ(IntersectHash(a, b, &hashed), expected.size()) << label;
-  ASSERT_EQ(hashed, expected) << label;
-  ASSERT_EQ(IntersectCountHash(a, b), expected.size()) << label;
 }
 
 /// Sorted list with tunable stride and duplicate probability.
@@ -359,7 +355,6 @@ TEST(BitmapFuzzTest, RoutedSlicesMatchScalarMerge) {
   const uint64_t base_seed = EnvU64("OPT_FUZZ_SEED", 0x5CA1AB1Eull);
   for (IntersectKernel kernel : kBitmapKernels) {
     if (!IntersectKernelSupported(kernel)) continue;
-    ASSERT_TRUE(SetIntersectKernel(kernel).ok());
     for (uint64_t trial = 0; trial < cases; ++trial) {
       const uint64_t seed = base_seed + trial;
       Random64 rng(seed);
@@ -376,7 +371,7 @@ TEST(BitmapFuzzTest, RoutedSlicesMatchScalarMerge) {
       index.Reset(universe, /*degree_threshold=*/0);
       index.Add(0, full_a);
       if (b_is_hub) index.Add(1, full_b);
-      HubRoutingScope scope(&index);
+      IntersectScope scope(kernel, &index);
       auto slice = [&rng](const std::vector<VertexId>& full) {
         const size_t lo = rng.Uniform(full.size());
         const size_t hi = lo + rng.Uniform(full.size() - lo) + 1;
@@ -407,35 +402,35 @@ TEST(BitmapFuzzTest, RoutedSlicesMatchScalarMerge) {
                      " OPT_FUZZ_CASES=25 ./test_intersect_fuzz "
                      "--gtest_filter=BitmapFuzzTest.RoutedSlices*\n",
                      seed);
-        ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kAuto).ok());
         return;
       }
     }
   }
-  ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kAuto).ok());
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch-table behavior.
+// Kernel selection: parse, resolve, and the per-thread scope.
 // ---------------------------------------------------------------------------
 
 class KernelDispatchTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    // Tests mutate process-wide dispatch state; restore auto-selection.
-    ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kAuto).ok());
+    // Every scope a test opens must have been closed again.
+    EXPECT_EQ(ActiveIntersectKernel(), BestIntersectKernel());
+    EXPECT_EQ(CurrentHubBitmapIndex(), nullptr);
   }
 };
 
 TEST_F(KernelDispatchTest, ParseAcceptsKnownNamesOnly) {
   for (IntersectKernel k :
-       {IntersectKernel::kScalar, IntersectKernel::kSse,
-        IntersectKernel::kAvx2, IntersectKernel::kBitmap,
-        IntersectKernel::kBitmapScalar, IntersectKernel::kAuto}) {
+       {IntersectKernel::kScalar, IntersectKernel::kAvx2,
+        IntersectKernel::kBitmap, IntersectKernel::kBitmapScalar,
+        IntersectKernel::kAuto}) {
     auto parsed = ParseIntersectKernel(IntersectKernelName(k));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, k);
   }
+  EXPECT_TRUE(ParseIntersectKernel("sse").status().IsInvalidArgument());
   EXPECT_FALSE(ParseIntersectKernel("sse9").ok());
   EXPECT_FALSE(ParseIntersectKernel("").ok());
   EXPECT_FALSE(ParseIntersectKernel("AUTO").ok());
@@ -445,25 +440,30 @@ TEST_F(KernelDispatchTest, ParseAcceptsKnownNamesOnly) {
 
 TEST_F(KernelDispatchTest, BitmapKernelFeatureProbe) {
   // 'bitmap' needs AVX2: its support tracks the AVX2 merge kernel, and
-  // selecting it on a host without AVX2 is a typed InvalidArgument that
+  // requesting it on a host without AVX2 is a typed InvalidArgument that
   // names the portable fallback — never a silent downgrade.
   EXPECT_EQ(IntersectKernelSupported(IntersectKernel::kBitmap),
             IntersectKernelSupported(IntersectKernel::kAvx2));
-  const Status s = SetIntersectKernel(IntersectKernel::kBitmap);
+  const auto resolved = ResolveIntersectKernel(IntersectKernel::kBitmap);
   if (IntersectKernelSupported(IntersectKernel::kBitmap)) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+    IntersectScope scope(*resolved);
     EXPECT_EQ(ActiveIntersectKernel(), IntersectKernel::kBitmap);
   } else {
+    const Status& s = resolved.status();
     ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
     EXPECT_NE(s.ToString().find("AVX2"), std::string::npos)
         << s.ToString();
     EXPECT_NE(s.ToString().find("bitmap_scalar"), std::string::npos)
         << s.ToString();
-    // The failed set must not have changed the active kernel family.
+    // The failed request installed nothing.
     EXPECT_FALSE(IsBitmapKernel(ActiveIntersectKernel()));
   }
   // The scalar popcount fallback is selectable on every host.
-  ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kBitmapScalar).ok());
+  const auto fallback =
+      ResolveIntersectKernel(IntersectKernel::kBitmapScalar);
+  ASSERT_TRUE(fallback.ok());
+  IntersectScope scope(*fallback);
   EXPECT_EQ(ActiveIntersectKernel(), IntersectKernel::kBitmapScalar);
   EXPECT_TRUE(IntersectKernelSupported(IntersectKernel::kBitmapScalar));
 }
@@ -490,20 +490,36 @@ TEST_F(KernelDispatchTest, BitmapCountersAttributeToTheResolvedKernel) {
 }
 
 TEST_F(KernelDispatchTest, AutoResolvesToBestSupported) {
-  ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kAuto).ok());
+  const auto resolved = ResolveIntersectKernel(IntersectKernel::kAuto);
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(*resolved, BestIntersectKernel());
+  // No scope and an auto scope both run the best kernel.
   EXPECT_EQ(ActiveIntersectKernel(), BestIntersectKernel());
+  {
+    IntersectScope scope(IntersectKernel::kAuto);
+    EXPECT_EQ(ActiveIntersectKernel(), BestIntersectKernel());
+  }
   EXPECT_TRUE(IntersectKernelSupported(ActiveIntersectKernel()));
   EXPECT_TRUE(IntersectKernelSupported(IntersectKernel::kScalar));
 }
 
 TEST_F(KernelDispatchTest, SetHonorsSupportedKernelsAndRejectsOthers) {
   for (IntersectKernel k : kAllKernels) {
+    const auto resolved = ResolveIntersectKernel(k);
     if (IntersectKernelSupported(k)) {
-      ASSERT_TRUE(SetIntersectKernel(k).ok());
+      ASSERT_TRUE(resolved.ok());
+      EXPECT_EQ(*resolved, k);
+      IntersectScope outer(*resolved);
+      EXPECT_EQ(ActiveIntersectKernel(), k);
+      {
+        // Scopes nest and restore the enclosing kernel.
+        IntersectScope inner(IntersectKernel::kScalar);
+        EXPECT_EQ(ActiveIntersectKernel(), IntersectKernel::kScalar);
+      }
       EXPECT_EQ(ActiveIntersectKernel(), k);
     } else {
-      const Status s = SetIntersectKernel(k);
-      EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+      EXPECT_TRUE(resolved.status().IsInvalidArgument())
+          << resolved.status().ToString();
     }
   }
 }
@@ -515,10 +531,10 @@ TEST_F(KernelDispatchTest, DispatchedEntryPointsMatchOracleUnderEachKernel) {
   const auto skew_a = MakeList(&rng, 6, 400, 0);
   const std::vector<VertexId> expected = Oracle(a, b);
   const std::vector<VertexId> expected_skew = Oracle(skew_a, b);
-  for (IntersectKernel k : {IntersectKernel::kScalar, IntersectKernel::kSse,
-                            IntersectKernel::kAvx2, IntersectKernel::kAuto}) {
+  for (IntersectKernel k : {IntersectKernel::kScalar, IntersectKernel::kAvx2,
+                            IntersectKernel::kAuto}) {
     if (!IntersectKernelSupported(k)) continue;
-    ASSERT_TRUE(SetIntersectKernel(k).ok());
+    IntersectScope scope(k);
     std::vector<VertexId> out;
     EXPECT_EQ(Intersect(a, b, &out), expected.size());
     EXPECT_EQ(out, expected);
@@ -537,7 +553,7 @@ TEST_F(KernelDispatchTest, CountersAttributeCallsToTheActiveKernel) {
   const auto b = MakeList(&rng, 64, 2, 0);
   for (IntersectKernel k : kAllKernels) {
     if (!IntersectKernelSupported(k)) continue;
-    ASSERT_TRUE(SetIntersectKernel(k).ok());
+    IntersectScope scope(k);
     const IntersectCounters before = SnapshotIntersectCounters();
     const uint64_t n = IntersectCount(a, b);
     (void)n;

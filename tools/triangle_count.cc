@@ -4,7 +4,7 @@
 //   triangle_count --store /path/base [--method OPT|OPT_serial|MGT|
 //       CC-Seq|CC-DS|GraphChi-Tri|ideal] [--buffer_percent 15]
 //       [--threads N] [--list FILE]
-//       [--kernel scalar|sse|avx2|bitmap|bitmap_scalar|auto]
+//       [--kernel scalar|avx2|bitmap|bitmap_scalar|auto]
 //       [--hub_split off|auto|pNN|<degree>]
 #include <cstdio>
 #include <optional>
@@ -45,18 +45,13 @@ int main(int argc, char** argv) {
 
   std::optional<IntersectKernel> kernel;
   if (cl->Has("kernel")) {
-    auto choice = cl->GetChoice(
-        "kernel", {"scalar", "sse", "avx2", "bitmap", "bitmap_scalar", "auto"},
-        "auto");
-    if (!choice.ok()) {
-      std::fprintf(stderr, "%s\n", choice.status().ToString().c_str());
+    auto parsed = ParseIntersectKernel(cl->GetString("kernel", "auto"));
+    if (parsed.ok()) parsed = ResolveIntersectKernel(*parsed);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
       return 2;
     }
-    kernel = *ParseIntersectKernel(*choice);
-    if (Status s = SetIntersectKernel(*kernel); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 2;
-    }
+    kernel = *parsed;
   }
   std::optional<HubSplitSpec> hub_split;
   if (cl->Has("hub_split")) {
@@ -66,7 +61,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     hub_split = *split;
-    SetDefaultHubSplit(*split);
   }
 
   MethodConfig config;
