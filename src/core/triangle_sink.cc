@@ -1,8 +1,7 @@
 #include "core/triangle_sink.h"
 
 #include <algorithm>
-
-#include "util/coding.h"
+#include <utility>
 
 namespace opt {
 
@@ -48,16 +47,25 @@ std::vector<uint64_t> PerVertexCountSink::Counts() const {
 
 ListingSink::ListingSink(Env* env, std::string path, size_t flush_threshold,
                          bool asynchronous)
-    : env_(env), path_(std::move(path)), flush_threshold_(flush_threshold),
-      asynchronous_(asynchronous) {
+    : env_(env),
+      path_(std::move(path)),
+      asynchronous_(asynchronous),
+      encoder_(flush_threshold, /*prefix_bytes=*/0,
+               [this](std::string& block, uint32_t, uint64_t triangles) {
+                 HandOff(block, triangles);
+               }) {
   auto file = env_->OpenWritable(path_);
   if (file.ok()) {
     file_ = std::move(file.value());
   } else {
-    std::lock_guard<std::mutex> lock(status_mutex_);
-    write_status_ = file.status();
+    status_ = file.status();
   }
   if (asynchronous_) {
+    // One spare block per slot: a slot swaps its full block for a spare,
+    // and the writer returns each block here once it is on disk.
+    for (size_t i = 0; i < NestedRecordEncoder::kSlots; ++i) {
+      free_blocks_.Push(std::string());
+    }
     writer_ = std::thread([this] { WriterLoop(); });
   }
 }
@@ -68,72 +76,52 @@ ListingSink::~ListingSink() {
 }
 
 void ListingSink::Emit(VertexId u, VertexId v, std::span<const VertexId> ws) {
-  if (ws.empty()) return;
-  char header[12];
-  EncodeFixed32(header, u);
-  EncodeFixed32(header + 4, v);
-  EncodeFixed32(header + 8, static_cast<uint32_t>(ws.size()));
-  std::string block_to_flush;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    buffer_.append(header, sizeof(header));
-    buffer_.append(reinterpret_cast<const char*>(ws.data()),
-                   ws.size() * sizeof(VertexId));
-    if (buffer_.size() >= flush_threshold_) {
-      block_to_flush.swap(buffer_);
-    }
-  }
-  triangles_.fetch_add(ws.size(), std::memory_order_relaxed);
-  if (!block_to_flush.empty()) {
-    if (asynchronous_) {
-      blocks_.Push(std::move(block_to_flush));
-    } else {
-      WriteBlock(block_to_flush);
-    }
+  if (!encoder_.Emit(u, v, ws)) {
+    Latch(Status::FailedPrecondition("ListingSink: Emit after Finish"));
   }
 }
 
+void ListingSink::HandOff(std::string& block, uint64_t triangles) {
+  if (asynchronous_) {
+    // Blocks only while the writer holds every spare block.
+    std::string spare = std::move(*free_blocks_.Pop());
+    blocks_.Push(std::exchange(block, std::move(spare)));
+  } else {
+    WriteBlock(block);
+  }
+  triangles_.fetch_add(triangles, std::memory_order_relaxed);
+}
+
 void ListingSink::WriteBlock(const std::string& block) {
+  std::lock_guard<std::mutex> lock(file_mutex_);
   if (file_ == nullptr) return;
   Status s = file_->Append(Slice(block));
   if (!s.ok()) {
-    std::lock_guard<std::mutex> lock(status_mutex_);
-    if (write_status_.ok()) write_status_ = s;
+    if (status_.ok()) status_ = s;
     return;
   }
   bytes_written_.fetch_add(block.size(), std::memory_order_relaxed);
 }
 
+void ListingSink::Latch(const Status& status) {
+  std::lock_guard<std::mutex> lock(file_mutex_);
+  if (status_.ok()) status_ = status;
+}
+
 Status ListingSink::Finish() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (finished_) {
-      std::lock_guard<std::mutex> status_lock(status_mutex_);
-      return write_status_;
+  std::call_once(finish_once_, [this] {
+    encoder_.Close();
+    blocks_.Close();
+    if (writer_.joinable()) writer_.join();
+    std::lock_guard<std::mutex> lock(file_mutex_);
+    if (file_ != nullptr) {
+      Status s = file_->Sync();
+      if (s.ok()) s = file_->Close();
+      if (!s.ok() && status_.ok()) status_ = s;
     }
-    finished_ = true;
-    if (!buffer_.empty()) {
-      std::string tail;
-      tail.swap(buffer_);
-      if (asynchronous_) {
-        blocks_.Push(std::move(tail));
-      } else {
-        WriteBlock(tail);
-      }
-    }
-  }
-  blocks_.Close();
-  if (writer_.joinable()) writer_.join();
-  if (file_ != nullptr) {
-    Status s = file_->Sync();
-    if (s.ok()) s = file_->Close();
-    if (!s.ok()) {
-      std::lock_guard<std::mutex> lock(status_mutex_);
-      if (write_status_.ok()) write_status_ = s;
-    }
-  }
-  std::lock_guard<std::mutex> lock(status_mutex_);
-  return write_status_;
+  });
+  std::lock_guard<std::mutex> lock(file_mutex_);
+  return status_;
 }
 
 void ListingSink::WriterLoop() {
@@ -141,6 +129,7 @@ void ListingSink::WriterLoop() {
     auto block = blocks_.Pop();
     if (!block.has_value()) return;
     WriteBlock(*block);
+    free_blocks_.Push(std::move(*block));
   }
 }
 

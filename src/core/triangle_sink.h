@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/record_encoder.h"
 #include "core/triangle.h"
 #include "storage/env.h"
 #include "util/blocking_queue.h"
@@ -79,45 +80,63 @@ class PerVertexCountSink : public TriangleSink {
 /// Streams the nested representation to a file through a background
 /// writer thread — the paper's asynchronous bulk output writing (§5.2).
 /// Record format (binary, little-endian u32): u, v, k, w1..wk.
+///
+/// Each emitting thread encodes into its own block (NestedRecordEncoder);
+/// full blocks go to the writer and come back through a free list, so
+/// emitting threads do not contend for one lock. At most
+/// 2 × NestedRecordEncoder::kSlots blocks of about `flush_threshold`
+/// bytes exist at once; a thread whose block is full waits for the
+/// writer when none is free.
 class ListingSink : public TriangleSink {
  public:
-  /// Buffers `flush_threshold` bytes before handing a block to the
-  /// writer thread. With `asynchronous` false the flush happens inline
-  /// on the emitting thread — the synchronous bulk-write mode the
-  /// paper's competitors use in the Table 3 experiment.
+  /// Hands a block to the writer thread once it holds `flush_threshold`
+  /// bytes. With `asynchronous` false the block is written inline on the
+  /// emitting thread (serialized with other emitters) — the synchronous
+  /// bulk-write mode the paper's competitors use in the Table 3
+  /// experiment.
   ListingSink(Env* env, std::string path, size_t flush_threshold = 1 << 20,
               bool asynchronous = true);
   ~ListingSink() override;
+  ListingSink(const ListingSink&) = delete;
+  ListingSink& operator=(const ListingSink&) = delete;
 
+  /// After Finish this writes nothing, and the next Finish returns
+  /// FailedPrecondition.
   void Emit(VertexId u, VertexId v, std::span<const VertexId> ws) override;
+  /// Writes every partial block, then syncs and closes the file.
+  /// Idempotent: later calls return the same status.
   Status Finish() override;
 
   uint64_t bytes_written() const {
     return bytes_written_.load(std::memory_order_relaxed);
   }
+  /// Triangles handed to the writer (every emitted one, once Finish has
+  /// returned).
   uint64_t triangles_written() const {
     return triangles_.load(std::memory_order_relaxed);
   }
 
  private:
+  void HandOff(std::string& block, uint64_t triangles);
   void WriterLoop();
   void WriteBlock(const std::string& block);
+  void Latch(const Status& status);
 
   Env* env_;
   std::string path_;
-  size_t flush_threshold_;
   bool asynchronous_;
 
-  std::mutex mutex_;          // guards buffer_
-  std::string buffer_;
-  BlockingQueue<std::string> blocks_;
-  std::thread writer_;
+  std::mutex file_mutex_;  // serializes writes to file_; guards status_
   std::unique_ptr<WritableFile> file_;
-  Status write_status_;
-  std::mutex status_mutex_;
+  Status status_;
+
+  BlockingQueue<std::string> blocks_;      // full blocks for the writer
+  BlockingQueue<std::string> free_blocks_;  // written blocks, for reuse
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> triangles_{0};
-  bool finished_ = false;
+  std::once_flag finish_once_;
+  NestedRecordEncoder encoder_;
+  std::thread writer_;
 };
 
 /// Fans out to several sinks (e.g. counting + listing).

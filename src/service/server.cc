@@ -8,6 +8,7 @@
 
 #include "obs/perf_counters.h"
 #include "service/graph_registry.h"
+#include "service/wire_list_sink.h"
 #include "storage/buffer_pool.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -15,52 +16,6 @@
 namespace opt {
 
 namespace {
-
-/// Streams LIST output over the wire in batches. Emits are serialized
-/// with a mutex (the engine emits from several threads); a failed write
-/// latches the error and turns the rest of the stream into a no-op so
-/// the engine can finish without blocking on a dead peer.
-class WireListSink : public TriangleSink {
- public:
-  explicit WireListSink(int fd, size_t batch_records = 512)
-      : fd_(fd), batch_records_(batch_records) {}
-
-  void Emit(VertexId u, VertexId v,
-            std::span<const VertexId> ws) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!write_status_.ok()) return;
-    ListBatch::Record record;
-    record.u = u;
-    record.v = v;
-    record.ws.assign(ws.begin(), ws.end());
-    batch_.records.push_back(std::move(record));
-    if (batch_.records.size() >= batch_records_) FlushLocked();
-  }
-
-  Status Finish() override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (write_status_.ok() && !batch_.records.empty()) FlushLocked();
-    return write_status_;
-  }
-
-  Status write_status() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return write_status_;
-  }
-
- private:
-  void FlushLocked() {
-    write_status_ =
-        WriteMessage(fd_, MessageType::kListBatch, EncodeListBatch(batch_));
-    batch_.records.clear();
-  }
-
-  const int fd_;
-  const size_t batch_records_;
-  std::mutex mutex_;
-  ListBatch batch_;
-  Status write_status_;
-};
 
 QuerySpec SpecFromRequest(const QueryRequest& request, QueryKind kind) {
   QuerySpec spec;

@@ -26,6 +26,8 @@ const char* StatusCodeName(StatusCode code) {
       return "Aborted";
     case StatusCode::kUnavailable:
       return "Unavailable";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

@@ -29,6 +29,9 @@ enum class StatusCode : int {
   /// Callers may retry the whole request; partial results may accompany
   /// it (see QueryResult::degraded).
   kUnavailable = 10,
+  /// The object is not in a state that allows the call (e.g. a sink
+  /// used after Finish).
+  kFailedPrecondition = 11,
 };
 
 /// Returns a short human-readable name for `code` ("OK", "IOError", ...).
@@ -72,6 +75,9 @@ class Status {
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
+  }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -73,25 +73,6 @@ TEST(PerVertexCountSinkTest, AttributesToAllThreeVertices) {
   EXPECT_EQ(sink.total(), 2u);
 }
 
-TEST(ListingSinkTest, WritesNestedRepresentation) {
-  const std::string path = testutil::ProcessTempDir() + "/listing_sink.bin";
-  {
-    ListingSink sink(Env::Default(), path, /*flush_threshold=*/32);
-    const VertexId ws[] = {2, 3};
-    sink.Emit(0, 1, ws);
-    const VertexId ws2[] = {9};
-    sink.Emit(5, 7, ws2);
-    ASSERT_TRUE(sink.Finish().ok());
-    EXPECT_EQ(sink.triangles_written(), 3u);
-    // 2 records: (12 + 8) + (12 + 4) bytes.
-    EXPECT_EQ(sink.bytes_written(), 36u);
-  }
-  auto size = Env::Default()->FileSize(path);
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, 36u);
-  std::remove(path.c_str());
-}
-
 TEST(TeeSinkTest, FansOut) {
   CountingSink a;
   VectorSink b;
@@ -500,26 +481,6 @@ TEST(OptRunnerTest, ThrottledEnvOverlapBeatsSyncAtDepth) {
   const double slow = run_with_depth(1);
   const double fast = run_with_depth(8);
   EXPECT_LT(fast, slow);  // deep queue hides injected latency
-}
-
-TEST(OptRunnerTest, ListingSinkIntegration) {
-  CSRGraph g = GenerateErdosRenyi(200, 1500, 7);
-  auto store = testutil::MakeStore(g, Env::Default(), "opt_listing");
-  const std::string out_path = testutil::ProcessTempDir() + "/opt_listing_out.bin";
-  OptOptions options;
-  options.m_in = std::max(store->MaxRecordPages(), store->num_pages() / 4);
-  options.m_ex = options.m_in;
-  EdgeIteratorModel model;
-  OptRunner runner(store.get(), &model, options);
-  CountingSink counter;
-  {
-    ListingSink listing(Env::Default(), out_path);
-    TeeSink tee({&counter, &listing});
-    ASSERT_TRUE(runner.Run(&tee, nullptr).ok());
-    EXPECT_EQ(listing.triangles_written(), counter.count());
-    EXPECT_GT(listing.bytes_written(), 0u);
-  }
-  std::remove(out_path.c_str());
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Tests for the I/O extras: O_DIRECT Env, aligned buffers, buffer-pool
-// growth, the listing reader, and the synchronous listing mode.
+// Tests for the I/O extras: O_DIRECT Env, aligned buffers and buffer-pool
+// growth. The listing reader and sinks are covered in test_sink.cc.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "core/iterator_model.h"
-#include "core/listing_reader.h"
 #include "core/opt_runner.h"
 #include "core/triangle_sink.h"
 #include "gen/erdos_renyi.h"
@@ -120,77 +119,6 @@ TEST(DirectIoEnvTest, FullOptRunThroughDirectIo) {
   }
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(sink.count(), testutil::OracleCount(g));
-}
-
-TEST(ListingReaderTest, RoundtripThroughSinkAndReader) {
-  const std::string path = testutil::ProcessTempDir() + "/listing_roundtrip.bin";
-  CSRGraph g = GenerateErdosRenyi(200, 2000, 31);
-  auto expected = testutil::OracleTriangles(g);
-  {
-    ListingSink sink(Env::Default(), path, /*flush_threshold=*/128);
-    EdgeIteratorInMemory(g, &sink);
-    ASSERT_TRUE(sink.Finish().ok());
-  }
-  auto loaded = ReadListingTriangles(Env::Default(), path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(*loaded, expected);
-  auto count = CountListingTriangles(Env::Default(), path);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, expected.size());
-  std::remove(path.c_str());
-}
-
-TEST(ListingReaderTest, SynchronousSinkProducesSameListing) {
-  const std::string async_path = testutil::ProcessTempDir() + "/listing_async.bin";
-  const std::string sync_path = testutil::ProcessTempDir() + "/listing_sync.bin";
-  CSRGraph g = GenerateErdosRenyi(150, 1200, 7);
-  {
-    ListingSink sink(Env::Default(), async_path, 64, /*asynchronous=*/true);
-    EdgeIteratorInMemory(g, &sink);
-    ASSERT_TRUE(sink.Finish().ok());
-  }
-  {
-    ListingSink sink(Env::Default(), sync_path, 64, /*asynchronous=*/false);
-    EdgeIteratorInMemory(g, &sink);
-    ASSERT_TRUE(sink.Finish().ok());
-  }
-  auto a = ReadListingTriangles(Env::Default(), async_path);
-  auto b = ReadListingTriangles(Env::Default(), sync_path);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
-  std::remove(async_path.c_str());
-  std::remove(sync_path.c_str());
-}
-
-TEST(ListingReaderTest, RejectsTruncatedFile) {
-  const std::string path = testutil::ProcessTempDir() + "/listing_truncated.bin";
-  {
-    auto file = Env::Default()->OpenWritable(path);
-    ASSERT_TRUE(file.ok());
-    // A record header promising 5 neighbors but delivering none.
-    const uint32_t header[3] = {1, 2, 5};
-    ASSERT_TRUE((*file)
-                    ->Append(Slice(reinterpret_cast<const char*>(header),
-                                   sizeof(header)))
-                    .ok());
-    ASSERT_TRUE((*file)->Close().ok());
-  }
-  auto result = ReadListingTriangles(Env::Default(), path);
-  EXPECT_TRUE(result.status().IsCorruption());
-  std::remove(path.c_str());
-}
-
-TEST(ListingReaderTest, EmptyListing) {
-  const std::string path = testutil::ProcessTempDir() + "/listing_empty.bin";
-  {
-    ListingSink sink(Env::Default(), path);
-    ASSERT_TRUE(sink.Finish().ok());
-  }
-  auto count = CountListingTriangles(Env::Default(), path);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 0u);
-  std::remove(path.c_str());
 }
 
 }  // namespace
