@@ -379,6 +379,33 @@ void BM_BufferPoolLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolLookup);
 
+/// Miss-and-evict Fetches through 64 spare frames while range(0) frames
+/// stay pinned. The pinned pages are fetched first, so they are the
+/// least recently used — the layout of OPT's internal area once the
+/// previous iteration's external pages have aged out. Victim selection
+/// must not pay for skipping them.
+void BM_BufferPoolEvictPastPinned(benchmark::State& state) {
+  constexpr uint32_t kSpare = 64;
+  const uint32_t pinned = static_cast<uint32_t>(state.range(0));
+  BufferPool pool(4096, pinned + kSpare);
+  std::vector<Frame*> held;
+  for (uint32_t pid = 0; pid < pinned; ++pid) {
+    auto fetched = pool.Fetch(pid);
+    pool.MarkValid(fetched->frame);
+    held.push_back(fetched->frame);
+  }
+  uint32_t pid = pinned;
+  for (auto _ : state) {
+    auto fetched = pool.Fetch(pid++);  // never cached: always a miss
+    benchmark::DoNotOptimize(fetched->frame);
+    pool.MarkValid(fetched->frame);
+    pool.Unpin(fetched->frame);
+  }
+  for (Frame* frame : held) pool.Unpin(frame);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BufferPoolEvictPastPinned)->Arg(0)->Arg(256)->Arg(1024);
+
 void BM_DegreeOrderedEdgeIteratorWork(benchmark::State& state) {
   CSRGraph g = GenerateErdosRenyi(1u << 12, 1u << 16, 3);
   for (auto _ : state) {

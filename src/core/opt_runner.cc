@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <deque>
-#include <map>
+#include <limits>
 #include <optional>
 #include <thread>
 
@@ -174,8 +175,14 @@ struct RunContext {
   bool hub_routing = false;
   HubBitmapIndex hub_index;
 
-  std::mutex candidate_mutex;
-  std::vector<VertexId> candidates;
+  // External candidates of the current iteration: one bit per vertex of
+  // the store (|V|/8 bytes for the whole run). Phase A's completion
+  // callbacks run on the main thread, so it is the only writer; phase B
+  // scans words [candidate_lo/64, candidate_hi/64] and zeroes each one as
+  // it reads it, which leaves the bitmap empty for the next iteration.
+  std::vector<uint64_t> candidate_bits;
+  VertexId candidate_lo = std::numeric_limits<VertexId>::max();
+  VertexId candidate_hi = 0;
 
   std::mutex later_mutex;              // Algorithm 9's atomic block
   std::deque<Chunk> later;
@@ -250,22 +257,73 @@ struct RunContext {
   }
 };
 
-/// Parses one internal page and appends the model's external candidates
-/// (Algorithm 7: IdentifyExternalCandidateVertex).
+/// Parses one internal page and marks the model's external candidates in
+/// the candidate bitmap (Algorithm 7: IdentifyExternalCandidateVertex).
+/// Main thread only. A neighbour id past |V| can only come from a
+/// damaged store whose page CRCs still match; it fails the run with
+/// Corruption instead of indexing past the bitmap and page directory.
 void CollectCandidatesFromPage(RunContext* ctx, const char* data) {
   PageView page(data, ctx->store->page_size());
+  const VertexId n = ctx->store->num_vertices();
   std::vector<VertexId> local;
   const uint32_t slots = page.num_slots();
   for (uint32_t s = 0; s < slots; ++s) {
     const Segment seg = page.GetSegment(s);
     if (seg.vertex < ctx->plan.v_lo || seg.vertex > ctx->plan.v_hi) continue;
+    local.clear();
     ctx->model->CollectCandidates(ctx->plan, seg, &local);
+    for (VertexId v : local) {
+      if (v >= n) {
+        ctx->RecordError(Status::Corruption(
+            "page " + std::to_string(page.page_id()) + ": vertex " +
+            std::to_string(seg.vertex) + " lists neighbour " +
+            std::to_string(v) + " but the store has " + std::to_string(n) +
+            " vertices"));
+        return;
+      }
+      ctx->candidate_bits[v / 64] |= uint64_t{1} << (v % 64);
+      ctx->candidate_lo = std::min(ctx->candidate_lo, v);
+      ctx->candidate_hi = std::max(ctx->candidate_hi, v);
+    }
   }
-  if (!local.empty()) {
-    std::lock_guard<std::mutex> lock(ctx->candidate_mutex);
-    ctx->candidates.insert(ctx->candidates.end(), local.begin(),
-                           local.end());
+}
+
+/// Phase B's chunk planning: drains the candidate bitmap in ascending
+/// vertex order into page-run chunks. Records are laid out in vertex
+/// order, so a candidate whose first page is at or before the previous
+/// chunk's last page shares a page with it and joins that chunk; this
+/// both groups candidates by page and merges overlapping runs of spanning
+/// records, so no page has two concurrent in-flight reads. Returns the
+/// number of candidates.
+uint64_t PlanChunks(RunContext* ctx, std::vector<Chunk>* chunks) {
+  uint64_t candidates = 0;
+  if (ctx->candidate_lo > ctx->candidate_hi) return 0;
+  const GraphStore& store = *ctx->store;
+  for (size_t w = ctx->candidate_lo / 64; w <= ctx->candidate_hi / 64; ++w) {
+    uint64_t word = ctx->candidate_bits[w];
+    if (word == 0) continue;
+    ctx->candidate_bits[w] = 0;
+    for (; word != 0; word &= word - 1) {
+      const VertexId v =
+          static_cast<VertexId>(w * 64 + std::countr_zero(word));
+      const uint32_t fp = store.FirstPageOfVertex(v);
+      const uint32_t end = store.LastPageOfVertex(v) + 1;
+      ++candidates;
+      if (!chunks->empty()) {
+        Chunk& prev = chunks->back();
+        const uint32_t prev_end = prev.first_pid + prev.page_count;
+        if (fp < prev_end) {
+          prev.page_count = std::max(prev_end, end) - prev.first_pid;
+          prev.candidates.push_back(v);
+          continue;
+        }
+      }
+      chunks->push_back(Chunk{fp, end - fp, {v}});
+    }
   }
+  ctx->candidate_lo = std::numeric_limits<VertexId>::max();
+  ctx->candidate_hi = 0;
+  return candidates;
 }
 
 /// Runs the internal triangulation for one page of the internal area
@@ -671,6 +729,7 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     }
   }
   const VertexId n = store_->num_vertices();
+  ctx.candidate_bits.assign((static_cast<size_t>(n) + 63) / 64, 0);
   VertexId v_start = 0;
   while (v_start < n && !ctx.CheckCancel()) {
     OPT_ASSIGN_OR_RETURN(ctx.plan,
@@ -699,7 +758,6 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     ctx.internal_page_count = pages;
     ctx.internal_cursor.store(0);
     ctx.internal_pages_done.store(0);
-    ctx.candidates.clear();
     ctx.internal_cpu_micros.store(0);
     ctx.external_cpu_micros.store(0);
     ctx.external_pages.store(0);
@@ -808,55 +866,13 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
           static_cast<uint64_t>(ctx.hub_index.memory_bytes()));
     }
 
-    std::sort(ctx.candidates.begin(), ctx.candidates.end());
-    ctx.candidates.erase(
-        std::unique(ctx.candidates.begin(), ctx.candidates.end()),
-        ctx.candidates.end());
-    iter.candidates = ctx.candidates.size();
-
-    // Group candidates into page-run chunks, merge overlaps, order by
+    // Group candidates into page-run chunks, then order them by
     // descending page id so the pages nearest the internal area are
     // loaded last and survive in the pool for the next iteration.
     std::vector<Chunk> chunks;
-    {
-      std::map<uint32_t, Chunk> by_range;  // keyed by first_pid
-      for (VertexId v : ctx.candidates) {
-        const uint32_t fp = store_->FirstPageOfVertex(v);
-        const uint32_t lp = store_->LastPageOfVertex(v);
-        auto it = by_range.find(fp);
-        if (it == by_range.end()) {
-          Chunk c;
-          c.first_pid = fp;
-          c.page_count = lp - fp + 1;
-          c.candidates.push_back(v);
-          by_range.emplace(fp, std::move(c));
-        } else {
-          it->second.page_count =
-              std::max(it->second.page_count, lp - fp + 1);
-          it->second.candidates.push_back(v);
-        }
-      }
-      // Merge overlapping page ranges (spanning records sharing boundary
-      // pages) so no page has two concurrent in-flight reads.
-      for (auto& [fp, chunk] : by_range) {
-        if (!chunks.empty()) {
-          Chunk& prev = chunks.back();
-          if (fp <= prev.first_pid + prev.page_count - 1) {
-            const uint32_t new_end =
-                std::max(prev.first_pid + prev.page_count,
-                         fp + chunk.page_count);
-            prev.page_count = new_end - prev.first_pid;
-            prev.candidates.insert(prev.candidates.end(),
-                                   chunk.candidates.begin(),
-                                   chunk.candidates.end());
-            continue;
-          }
-        }
-        chunks.push_back(std::move(chunk));
-      }
-      if (options_.backward_external_order) {
-        std::reverse(chunks.begin(), chunks.end());  // descending page id
-      }
+    iter.candidates = PlanChunks(&ctx, &chunks);
+    if (options_.backward_external_order) {
+      std::reverse(chunks.begin(), chunks.end());  // descending page id
     }
     iter.chunks = chunks.size();
 
@@ -876,8 +892,8 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     }
     reservation.GrowTo(options_.m_in + ctx.ext_capacity + 2);
     ctx.group_ex.Add(static_cast<uint32_t>(chunks.size()));
-    run_stats.serial_seconds +=
-        iter.load_seconds + plan_watch.ElapsedSeconds();
+    iter.plan_seconds = plan_watch.ElapsedSeconds();
+    run_stats.serial_seconds += iter.load_seconds + iter.plan_seconds;
 
     // ----- Phase C: overlapped triangulation (Algorithm 3 lines 9-11) --
     phase_span.emplace("opt", "phaseC.overlap");

@@ -119,6 +119,7 @@ struct IterationStats {
   uint64_t candidates = 0;
   uint64_t chunks = 0;
   double load_seconds = 0;            // internal-area fill (phase A) wall
+  double plan_seconds = 0;            // external-load planning (phase B) wall
   double overlap_seconds = 0;         // triangulation (phase C) wall
   double internal_cpu_seconds = 0;    // summed across threads
   double external_cpu_seconds = 0;    // summed across threads
@@ -134,7 +135,8 @@ struct OptRunStats {
   uint64_t external_pages_read = 0;
   uint64_t external_cache_hits = 0;
   double elapsed_seconds = 0;
-  /// Non-parallelizable wall time (loads, planning) vs parallelizable
+  /// Non-parallelizable wall time (loads, planning: the sum of every
+  /// iteration's load_seconds + plan_seconds) vs parallelizable
   /// triangulation wall time — the Amdahl decomposition of Table 5.
   double serial_seconds = 0;
   double parallel_seconds = 0;

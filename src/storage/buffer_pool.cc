@@ -73,20 +73,20 @@ void BufferPool::ReleaseFrames(uint32_t n) {
   reserved_frames_ -= n;
 }
 
-void BufferPool::TouchLru(PageKey key) {
-  auto it = lru_pos_.find(key);
-  if (it != lru_pos_.end()) lru_.erase(it->second);
-  lru_.push_back(key);
-  lru_pos_[key] = std::prev(lru_.end());
+void BufferPool::AddEvictableLocked(const Frame& frame) {
+  evictable_.emplace(frame.last_use, frame.index);
+}
+
+void BufferPool::RemoveEvictableLocked(const Frame& frame) {
+  evictable_.erase({frame.last_use, frame.index});
 }
 
 void BufferPool::DropPageLocked(PageKey key) {
-  auto pos = lru_pos_.find(key);
-  if (pos != lru_pos_.end()) {
-    lru_.erase(pos->second);
-    lru_pos_.erase(pos);
-  }
-  page_table_.erase(key);
+  auto it = page_table_.find(key);
+  if (it == page_table_.end()) return;
+  const Frame& frame = frames_[it->second];
+  if (frame.pins == 0) RemoveEvictableLocked(frame);
+  page_table_.erase(it);
 }
 
 Result<Frame*> BufferPool::AllocateLocked(PageKey key) {
@@ -96,35 +96,25 @@ Result<Frame*> BufferPool::AllocateLocked(PageKey key) {
     frame_index = free_frames_.back();
     free_frames_.pop_back();
   } else {
-    // Evict the coldest unpinned page.
-    bool found = false;
-    for (auto lru_it = lru_.begin(); lru_it != lru_.end(); ++lru_it) {
-      const PageKey victim_key = *lru_it;
-      const uint32_t victim_index = page_table_.at(victim_key);
-      if (frames_[victim_index].pins == 0) {
-        lru_.erase(lru_it);
-        lru_pos_.erase(victim_key);
-        page_table_.erase(victim_key);
-        frame_index = victim_index;
-        found = true;
-        stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-    }
-    if (!found) {
+    // Evict the least recently fetched unpinned page.
+    if (evictable_.empty()) {
       return Status::ResourceExhausted(
           "buffer pool: all " +
           std::to_string(num_frames_.load(std::memory_order_relaxed)) +
           " frames pinned");
     }
+    frame_index = evictable_.begin()->second;
+    evictable_.erase(evictable_.begin());
+    page_table_.erase(frames_[frame_index].key);
+    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   }
   Frame& frame = frames_[frame_index];
   frame.key = key;
   frame.pins = 1;
+  frame.last_use = ++clock_;
   frame.valid = false;
   frame.failed = false;
   page_table_[key] = frame_index;
-  TouchLru(key);
   return &frame;
 }
 
@@ -136,8 +126,8 @@ Result<BufferPool::FetchResult> BufferPool::Fetch(PageKey key) {
   auto it = page_table_.find(key);
   if (it != page_table_.end()) {
     Frame& frame = frames_[it->second];
-    ++frame.pins;
-    TouchLru(key);
+    if (frame.pins++ == 0) RemoveEvictableLocked(frame);
+    frame.last_use = ++clock_;
     // Both count as a saved read: an in-flight page's I/O is already
     // charged to the reader that owns it.
     stats_.hits.fetch_add(1, std::memory_order_relaxed);
@@ -222,7 +212,7 @@ Status BufferPool::WaitValid(Frame* frame, uint64_t timeout_millis) {
 
 void BufferPool::Pin(Frame* frame) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++frame->pins;
+  if (frame->pins++ == 0) RemoveEvictableLocked(*frame);
 }
 
 void BufferPool::Unpin(Frame* frame) {
@@ -235,6 +225,8 @@ void BufferPool::Unpin(Frame* frame) {
     auto it = page_table_.find(frame->key);
     if (it == page_table_.end() || it->second != frame->index) {
       FreeFrameLocked(frame);
+    } else {
+      AddEvictableLocked(*frame);
     }
   }
 }

@@ -1,11 +1,16 @@
-// Fixed-size page buffer with pinning and LRU replacement. OPT splits the
-// paper's memory buffer of m pages into an internal area (m_in) and an
-// external area (m_ex); here both draw frames from one pool and the
+// Fixed-size page buffer with pinning and exact LRU replacement. OPT
+// splits the paper's memory buffer of m pages into an internal area (m_in)
+// and an external area (m_ex); here both draw frames from one pool and the
 // framework enforces the split through pin discipline and the L_now/
 // L_later request throttling (Algorithm 4). Keeping evicted-area pages
 // cached is what realizes the paper's Δin I/O saving: external pages
 // loaded "backwards" at iteration i are looked up — and hit — by the
 // internal load of iteration i+1.
+//
+// Replacement: the victim is the resident unpinned page whose last Fetch
+// is the oldest (Pin does not refresh it). Unpinned frames sit in a set
+// ordered by that stamp, so choosing the victim costs O(log F) however
+// many pinned frames there are.
 //
 // Service mode: one pool may be shared by many concurrent OptRunner
 // queries over many graphs. Pages are therefore keyed by a 64-bit
@@ -21,11 +26,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/aligned_buffer.h"
@@ -52,10 +58,11 @@ constexpr uint32_t PageKeyPid(PageKey key) {
 struct Frame {
   char* data = nullptr;
   PageKey key = kInvalidPageKey;
-  uint32_t index = 0;   // position in the pool's frame table (stable)
-  uint32_t pins = 0;    // guarded by pool mutex
-  bool valid = false;   // page content fully read
-  bool failed = false;  // owning read failed; waiters get an error
+  uint32_t index = 0;     // position in the pool's frame table (stable)
+  uint32_t pins = 0;      // guarded by pool mutex
+  uint64_t last_use = 0;  // pool clock at the last Fetch; guarded likewise
+  bool valid = false;     // page content fully read
+  bool failed = false;    // owning read failed; waiters get an error
 };
 
 /// Plain-integer copy of the counters, safe to read, diff, and ship
@@ -173,7 +180,10 @@ class BufferPool {
   const BufferPoolStats& stats() const { return stats_; }
 
  private:
-  void TouchLru(PageKey key);
+  /// Eviction-candidate bookkeeping: a frame is in `evictable_` exactly
+  /// while it is resident (in the page table) and unpinned.
+  void AddEvictableLocked(const Frame& frame);
+  void RemoveEvictableLocked(const Frame& frame);
   void EnsureFramesLocked(uint32_t min_frames);
   void DropPageLocked(PageKey key);
   /// Allocation half of Fetch; `key` must be absent.
@@ -192,8 +202,10 @@ class BufferPool {
   std::mutex mutex_;
   std::condition_variable valid_cv_;
   std::unordered_map<PageKey, uint32_t> page_table_;  // key -> frame index
-  std::list<PageKey> lru_;                            // front = coldest
-  std::unordered_map<PageKey, std::list<PageKey>::iterator> lru_pos_;
+  // Resident unpinned frames ordered by (last_use, index): begin() is the
+  // least recently fetched frame that may be evicted.
+  std::set<std::pair<uint64_t, uint32_t>> evictable_;
+  uint64_t clock_ = 0;  // bumped by every Fetch
   std::vector<uint32_t> free_frames_;
   uint32_t reserved_frames_ = 0;
 

@@ -395,6 +395,36 @@ TEST(OptRunnerTest, StatsAccounting) {
   EXPECT_LE(stats.ParallelFraction(), 1.0);
 }
 
+TEST(OptRunnerTest, PhaseWallTimesAddUpToTheRunTotals) {
+  // Up-to-whole: the run's serial time is exactly the per-iteration
+  // phase A (load) plus phase B (plan) walls, its parallel time the
+  // phase C walls, and no phase is counted outside the run's wall time.
+  CSRGraph g = GenerateErdosRenyi(300, 3000, 42);
+  auto store = testutil::MakeStore(g, Env::Default(), "opt_phase_walls");
+  OptOptions options;
+  options.m_in = std::max(store->MaxRecordPages(), store->num_pages() / 4);
+  options.m_ex = options.m_in;
+  options.num_threads = 4;
+  EdgeIteratorModel model;
+  OptRunner runner(store.get(), &model, options);
+  CountingSink sink;
+  OptRunStats stats;
+  ASSERT_TRUE(runner.Run(&sink, &stats).ok());
+  ASSERT_GT(stats.iterations, 1u);
+  double load_plus_plan = 0;
+  double overlap = 0;
+  for (const IterationStats& iter : stats.per_iteration) {
+    EXPECT_GE(iter.load_seconds, 0.0);
+    EXPECT_GE(iter.plan_seconds, 0.0);
+    load_plus_plan += iter.load_seconds + iter.plan_seconds;
+    overlap += iter.overlap_seconds;
+  }
+  EXPECT_NEAR(stats.serial_seconds, load_plus_plan, 1e-3);
+  EXPECT_NEAR(stats.parallel_seconds, overlap, 1e-3);
+  EXPECT_LE(stats.serial_seconds + stats.parallel_seconds,
+            stats.elapsed_seconds + 1e-3);
+}
+
 TEST(OptRunnerTest, MinimalExternalAreaStressesChaining) {
   // m_ex = 1 forces every external chunk through the L_later chain one
   // page at a time (maximum Algorithm 9 pressure).

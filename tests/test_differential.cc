@@ -8,13 +8,17 @@
 // Unavailable or produces the exact result — never a silently wrong
 // count. Failing fault trials print a one-line `--fault-plan` repro.
 // Kernel-isolation tests check that a run's kernel and hub index stay
-// inside that run, also with two runners at once.
+// inside that run, also with two runners at once. The candidate-planning
+// test recomputes each iteration's external candidates and page runs
+// from the CSR graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/iterator_model.h"
@@ -233,6 +237,88 @@ TEST_F(DifferentialTest, VertexIteratorModelAgreesUnderForcedKernels) {
     Status s = runner.Run(&sink, nullptr);
     ASSERT_TRUE(s.ok()) << s.ToString();
     ASSERT_EQ(sink.Sorted(), oracle);
+  }
+}
+
+/// Phase B's plan for one iteration over [v_lo, v_hi], recomputed from
+/// the CSR graph and the store's page directory: the external candidate
+/// set of the model, and how many disjoint page runs its records cover
+/// (records sharing a page belong to one run).
+struct ExpectedPlan {
+  uint64_t candidates = 0;
+  uint64_t chunks = 0;
+};
+
+ExpectedPlan PlanFromGraph(const CSRGraph& g, const GraphStore& store,
+                           bool edge_iterator, VertexId v_lo, VertexId v_hi) {
+  std::set<VertexId> candidates;
+  for (VertexId u = v_lo; u <= v_hi; ++u) {
+    for (VertexId w : g.Neighbors(u)) {
+      // Edge iterator: successors beyond the internal range. Vertex
+      // iterator: predecessors before it.
+      if (edge_iterator ? w > v_hi : w < v_lo) candidates.insert(w);
+    }
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> runs;
+  for (VertexId v : candidates) {
+    runs.emplace_back(store.FirstPageOfVertex(v), store.LastPageOfVertex(v));
+  }
+  std::sort(runs.begin(), runs.end());
+  ExpectedPlan plan;
+  plan.candidates = candidates.size();
+  uint32_t last_page = 0;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (i == 0 || runs[i].first > last_page) {
+      ++plan.chunks;
+      last_page = runs[i].second;
+    } else {
+      last_page = std::max(last_page, runs[i].second);
+    }
+  }
+  return plan;
+}
+
+TEST_F(DifferentialTest, CandidatePlanningMatchesTheGraph) {
+  // Every iteration's candidate count and chunk count must match what
+  // the graph implies, for both iterator models, on a store whose hub
+  // records span pages and with a buffer small enough for several
+  // iterations.
+  CSRGraph g = MakeRmat(7);
+  const uint64_t oracle = testutil::OracleCount(g);
+  auto store = testutil::MakeStore(g, Env::Default(), "diff_plan", 256);
+  ASSERT_GE(store->MaxRecordPages(), 2u);
+  const uint32_t m_in =
+      std::max(store->MaxRecordPages(), store->num_pages() / 6);
+  const Split small{"small", m_in, m_in};
+  EdgeIteratorModel edge_model;
+  VertexIteratorModel vertex_model;
+  for (const IteratorModel* model :
+       {static_cast<const IteratorModel*>(&edge_model),
+        static_cast<const IteratorModel*>(&vertex_model)}) {
+    const bool edge_iterator = model == &edge_model;
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(model->name()) +
+                   " threads=" + std::to_string(threads));
+      OptRunner runner(store.get(), model,
+                       MakeOptions(small, threads, true, true,
+                                   IntersectKernel::kAuto));
+      CountingSink sink;
+      OptRunStats stats;
+      Status s = runner.Run(&sink, &stats);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_EQ(sink.count(), oracle);
+      ASSERT_GE(stats.iterations, 3u);
+      uint64_t planned = 0;
+      for (const IterationStats& iter : stats.per_iteration) {
+        SCOPED_TRACE("v_lo=" + std::to_string(iter.v_lo));
+        const ExpectedPlan want =
+            PlanFromGraph(g, *store, edge_iterator, iter.v_lo, iter.v_hi);
+        EXPECT_EQ(iter.candidates, want.candidates);
+        EXPECT_EQ(iter.chunks, want.chunks);
+        planned += iter.candidates;
+      }
+      EXPECT_GT(planned, 0u);
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 // machinery itself, the async-I/O retry path it exercises, the typed
 // Unavailable degradation contract of OptRunner/QueryScheduler, the
 // buffer pool's wedged-waiter timeout, and StoreBuilder crash
-// consistency (torn writes caught at open). Every failing assertion
+// consistency (torn writes caught at open), and damage that page CRCs
+// cannot see (a re-stamped page naming a vertex past |V|). Every failing
+// assertion
 // carries the plan's one-line spec so chaos results reproduce via
 // `opt_server --fault-plan "<spec>"` or FaultPlan::Parse.
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,8 +30,10 @@
 #include "storage/env.h"
 #include "storage/fault_env.h"
 #include "storage/graph_store.h"
+#include "storage/page.h"
 #include "storage/page_file.h"
 #include "test_helpers.h"
+#include "util/coding.h"
 #include "util/metrics.h"
 
 namespace opt {
@@ -567,6 +572,71 @@ TEST(CrashConsistency, PageCrcVerificationCatchesInPlaceCorruption) {
   EXPECT_TRUE(strict.status().IsCorruption())
       << strict.status().ToString();
   EXPECT_TRUE((*lax)->VerifyAllPages().IsCorruption());
+}
+
+TEST(CrashConsistency, RestampedOutOfRangeNeighbourFailsTheRunWithCorruption) {
+  // Damage the CRC walk cannot see: a page whose neighbour id points past
+  // |V| and whose CRC was recomputed over the damage. OPT must refuse it
+  // with Corruption before the id indexes any per-vertex table.
+  Env* base = Env::Default();
+  CSRGraph g = GenerateErdosRenyi(200, 2000, 53);
+  const VertexId n = g.num_vertices();
+  const std::string path = testutil::ProcessTempDir() + "/restamped_id";
+  constexpr uint32_t kPageSize = 256;
+  GraphStoreOptions options;
+  options.page_size = kPageSize;
+  ASSERT_TRUE(GraphStore::Create(g, base, path, options).ok());
+
+  std::string pages;
+  {
+    std::ifstream in(GraphStore::PagesPath(path), std::ios::binary);
+    ASSERT_TRUE(in.good());
+    pages.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // The last neighbour of the first record that ends on page 0 is its
+  // largest, so raising it past |V| keeps the list sorted.
+  char* page = pages.data();
+  PageView view(page, kPageSize);
+  size_t offset = 0;
+  for (uint32_t s = 0; s < view.num_slots() && offset == 0; ++s) {
+    const Segment seg = view.GetSegment(s);
+    if (seg.IsLastSegment() && !seg.neighbors.empty()) {
+      offset = static_cast<size_t>(
+          reinterpret_cast<const char*>(&seg.neighbors.back()) - page);
+    }
+  }
+  ASSERT_GT(offset, 0u);
+  EncodeFixed32(page + offset, n + 7);
+  EncodeFixed32(page + 16, ComputePageCrc(page, kPageSize));
+  {
+    std::ofstream out(GraphStore::PagesPath(path),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(out.good());
+    out.write(pages.data(), kPageSize);
+  }
+
+  // Every CRC still matches...
+  auto store = GraphStore::Open(base, path, /*verify_pages=*/true);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  // ...and the run still refuses the page, serial and parallel.
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    OptOptions run_options;
+    run_options.m_in = std::max((*store)->MaxRecordPages(),
+                                (*store)->num_pages() / 4);
+    run_options.m_ex = run_options.m_in;
+    run_options.num_threads = threads;
+    run_options.macro_overlap = threads > 1;
+    EdgeIteratorModel model;
+    OptRunner runner(store->get(), &model, run_options);
+    CountingSink sink;
+    const Status s = runner.Run(&sink, nullptr);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find("neighbour " + std::to_string(n + 7)),
+              std::string::npos)
+        << s.ToString();
+  }
 }
 
 }  // namespace

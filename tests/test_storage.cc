@@ -1,5 +1,6 @@
-// Unit tests for the storage engine: page codec, page file, buffer pool,
-// async I/O engine, graph store, record scanner, fault injection.
+// Unit tests for the storage engine: page codec, page file, async I/O
+// engine, graph store, record scanner, fault injection. The buffer pool
+// has its own suite (test_buffer_pool.cc).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -120,83 +121,6 @@ TEST(PageFileTest, RejectsMisalignedFile) {
   ASSERT_TRUE((*file)->Close().ok());
   EXPECT_TRUE(PageFile::Open(env, path, 128).status().IsCorruption());
   (void)env->DeleteFile(path);
-}
-
-using FetchOutcome = BufferPool::FetchOutcome;
-
-TEST(BufferPoolTest, MissThenHit) {
-  BufferPool pool(128, 4);
-  auto miss = pool.Fetch(7);
-  ASSERT_TRUE(miss.ok());
-  EXPECT_EQ(miss->outcome, FetchOutcome::kMiss);
-  // Not yet valid: a second fetch shares the frame but must wait.
-  auto in_flight = pool.Fetch(7);
-  ASSERT_TRUE(in_flight.ok());
-  EXPECT_EQ(in_flight->outcome, FetchOutcome::kInFlight);
-  EXPECT_EQ(in_flight->frame, miss->frame);
-  pool.Unpin(in_flight->frame);
-  pool.MarkValid(miss->frame);
-  auto hit = pool.Fetch(7);
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(hit->outcome, FetchOutcome::kHit);
-  EXPECT_EQ(hit->frame, miss->frame);
-  // Both later fetches saved a read (the in-flight one is charged to
-  // the miss's reader).
-  EXPECT_EQ(pool.stats().hits.load(), 2u);
-}
-
-TEST(BufferPoolTest, EvictsColdestUnpinned) {
-  BufferPool pool(128, 2);
-  for (PageKey key : {PageKey{0}, PageKey{1}}) {
-    auto fetched = pool.Fetch(key);
-    ASSERT_TRUE(fetched.ok());
-    pool.MarkValid(fetched->frame);
-    pool.Unpin(fetched->frame);
-  }
-  // Touch page 0 so page 1 is coldest.
-  auto touch = pool.Fetch(0);
-  ASSERT_TRUE(touch.ok());
-  EXPECT_EQ(touch->outcome, FetchOutcome::kHit);
-  pool.Unpin(touch->frame);
-  auto f2 = pool.Fetch(2);
-  ASSERT_TRUE(f2.ok());
-  EXPECT_EQ(f2->outcome, FetchOutcome::kMiss);
-  EXPECT_EQ(pool.stats().evictions.load(), 1u);
-  auto f0 = pool.Fetch(0);  // survived
-  ASSERT_TRUE(f0.ok());
-  EXPECT_EQ(f0->outcome, FetchOutcome::kHit);
-  pool.Unpin(f0->frame);
-  auto f1 = pool.Fetch(1);  // evicted: a fresh read
-  ASSERT_TRUE(f1.ok());
-  EXPECT_EQ(f1->outcome, FetchOutcome::kMiss);
-}
-
-TEST(BufferPoolTest, FailsWhenAllPinned) {
-  BufferPool pool(128, 2);
-  auto f0 = pool.Fetch(0);
-  auto f1 = pool.Fetch(1);
-  ASSERT_TRUE(f0.ok());
-  ASSERT_TRUE(f1.ok());
-  auto f2 = pool.Fetch(2);
-  EXPECT_EQ(f2.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(BufferPoolTest, ClearDropsUnpinnedOnly) {
-  BufferPool pool(128, 4);
-  auto pinned = pool.Fetch(1);
-  auto unpinned = pool.Fetch(2);
-  ASSERT_TRUE(pinned.ok());
-  ASSERT_TRUE(unpinned.ok());
-  pool.MarkValid(pinned->frame);
-  pool.MarkValid(unpinned->frame);
-  pool.Unpin(unpinned->frame);
-  pool.Clear();
-  auto dropped = pool.Fetch(2);
-  ASSERT_TRUE(dropped.ok());
-  EXPECT_EQ(dropped->outcome, FetchOutcome::kMiss);
-  auto kept = pool.Fetch(1);
-  ASSERT_TRUE(kept.ok());
-  EXPECT_EQ(kept->outcome, FetchOutcome::kHit);
 }
 
 class AsyncIoTest : public ::testing::Test {
