@@ -367,13 +367,13 @@ void BM_BufferPoolLookup(benchmark::State& state) {
   BufferPool pool(4096, 256);
   for (uint32_t pid = 0; pid < 128; ++pid) {
     auto fetched = pool.Fetch(pid);
-    pool.MarkValid(fetched->frame);
-    pool.Unpin(fetched->frame);
+    pool.MarkValid({&fetched->frame, 1});
+    pool.Unpin({&fetched->frame, 1});
   }
   uint32_t pid = 0;
   for (auto _ : state) {
     auto fetched = pool.Fetch(pid % 128);
-    pool.Unpin(fetched->frame);
+    pool.Unpin({&fetched->frame, 1});
     ++pid;
   }
 }
@@ -391,17 +391,17 @@ void BM_BufferPoolEvictPastPinned(benchmark::State& state) {
   std::vector<Frame*> held;
   for (uint32_t pid = 0; pid < pinned; ++pid) {
     auto fetched = pool.Fetch(pid);
-    pool.MarkValid(fetched->frame);
+    pool.MarkValid({&fetched->frame, 1});
     held.push_back(fetched->frame);
   }
   uint32_t pid = pinned;
   for (auto _ : state) {
     auto fetched = pool.Fetch(pid++);  // never cached: always a miss
     benchmark::DoNotOptimize(fetched->frame);
-    pool.MarkValid(fetched->frame);
-    pool.Unpin(fetched->frame);
+    pool.MarkValid({&fetched->frame, 1});
+    pool.Unpin({&fetched->frame, 1});
   }
-  for (Frame* frame : held) pool.Unpin(frame);
+  pool.Unpin(held);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BufferPoolEvictPastPinned)->Arg(0)->Arg(256)->Arg(1024);

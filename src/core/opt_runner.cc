@@ -6,6 +6,7 @@
 #include <deque>
 #include <limits>
 #include <optional>
+#include <span>
 #include <thread>
 
 #include "core/page_range_view.h"
@@ -132,6 +133,11 @@ void PublishRunStats(const OptRunStats& stats) {
         static_cast<int64_t>(total.MultiplexRatio() * 1e6));
   }
 }
+
+/// The most pages one read request carries: 32, i.e. 128 KiB at the
+/// default 4 KiB page. Up to about this size an SSD's random-read latency
+/// stays roughly flat, so longer runs of missing pages are split.
+constexpr uint32_t kMaxRunPages = 32;
 
 /// One external read unit: a run of consecutive pages covering every
 /// candidate assigned to it (Algorithm 4 groups candidates by page;
@@ -451,7 +457,7 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
       }
     }
   }
-  for (Frame* f : frames) ctx->pool->Unpin(f);
+  ctx->pool->Unpin(frames);
   ctx->external_cpu_micros.fetch_add(
       static_cast<uint64_t>(watch.ElapsedMicros()),
       std::memory_order_relaxed);
@@ -466,10 +472,37 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
   ctx->group_ex.Done();
 }
 
-/// Issues the asynchronous reads for one chunk; pages already cached in
-/// the buffer pool — by this run's earlier iterations or by concurrent
-/// queries on a shared pool — are reused without I/O (the Δ-I/O savings
-/// of §3.3).
+/// A read request for the run of pool frames `frames`, which hold pages
+/// first_pid, first_pid + 1, ...: the I/O worker reads them with one
+/// device read, then validates and publishes them (MarkValid /
+/// MarkFailed) before `callback` is queued.
+ReadRequest RunRequest(RunContext* ctx, uint32_t first_pid,
+                       std::span<Frame* const> frames,
+                       std::function<void(const Status&)> callback) {
+  ReadRequest request;
+  request.file = ctx->store->file();
+  request.first_pid = first_pid;
+  request.page_count = static_cast<uint32_t>(frames.size());
+  request.frames.assign(frames.begin(), frames.end());
+  request.completion_queue = &ctx->completions;
+  request.pool = ctx->pool;
+  request.validate = ctx->options.validate_pages;
+  request.page_size = ctx->store->page_size();
+  request.flight = ctx->flight;
+  request.callback = std::move(callback);
+  return request;
+}
+
+/// Consecutive missing pages of one chunk, as indices into its frames.
+struct PageRun {
+  uint32_t first = 0;
+  uint32_t count = 0;
+};
+
+/// Issues the asynchronous reads for one chunk: one request per run of
+/// consecutive missing pages. Pages already cached in the buffer pool —
+/// by this run's earlier iterations or by concurrent queries on a shared
+/// pool — are reused without I/O (the Δ-I/O savings of §3.3).
 void SubmitChunk(RunContext* ctx, Chunk chunk) {
   struct ChunkState {
     RunContext* ctx;
@@ -481,7 +514,8 @@ void SubmitChunk(RunContext* ctx, Chunk chunk) {
   state->ctx = ctx;
   state->frames.resize(chunk.page_count, nullptr);
 
-  std::vector<uint32_t> missing;
+  std::vector<PageRun> runs;
+  uint64_t missing = 0;
   for (uint32_t i = 0; i < chunk.page_count; ++i) {
     const uint32_t pid = chunk.first_pid + i;
     auto fetch = ctx->pool->Fetch(ctx->Key(pid));
@@ -489,8 +523,12 @@ void SubmitChunk(RunContext* ctx, Chunk chunk) {
       ctx->RecordError(fetch.status());
       // Roll back: owned misses must be published as failed before the
       // pin drops, or concurrent waiters would hang on them forever.
-      for (uint32_t j : missing) ctx->pool->MarkFailed(state->frames[j]);
-      for (uint32_t j = 0; j < i; ++j) ctx->pool->Unpin(state->frames[j]);
+      for (const PageRun& run : runs) {
+        ctx->pool->MarkFailed(
+            std::span<Frame* const>(state->frames).subspan(run.first,
+                                                           run.count));
+      }
+      ctx->pool->Unpin(std::span<Frame* const>(state->frames).first(i));
       {
         std::lock_guard<std::mutex> lock(ctx->later_mutex);
         ctx->ext_used -= chunk.page_count;
@@ -500,16 +538,22 @@ void SubmitChunk(RunContext* ctx, Chunk chunk) {
     }
     state->frames[i] = fetch->frame;
     ctx->RecordFetch(fetch->outcome, pid);
-    if (fetch->outcome == BufferPool::FetchOutcome::kMiss) {
-      missing.push_back(i);
-    } else {
+    if (fetch->outcome != BufferPool::FetchOutcome::kMiss) {
       ctx->external_hits.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    ++missing;
+    if (!runs.empty() && runs.back().first + runs.back().count == i &&
+        runs.back().count < kMaxRunPages) {
+      ++runs.back().count;
+    } else {
+      runs.push_back(PageRun{i, 1});
     }
   }
-  ctx->external_pages.fetch_add(missing.size(), std::memory_order_relaxed);
+  ctx->external_pages.fetch_add(missing, std::memory_order_relaxed);
   state->chunk = std::move(chunk);
 
-  if (missing.empty()) {
+  if (runs.empty()) {
     // Fully cached: skip the device, go straight to the callback queue.
     ctx->completions.Push([state] {
       ProcessChunk(state->ctx, std::move(state->chunk),
@@ -517,32 +561,20 @@ void SubmitChunk(RunContext* ctx, Chunk chunk) {
     });
     return;
   }
-  state->pending.store(static_cast<uint32_t>(missing.size()),
+  state->pending.store(static_cast<uint32_t>(runs.size()),
                        std::memory_order_release);
-  for (uint32_t index : missing) {
-    const uint32_t pid = state->chunk.first_pid + index;
-    Frame* frame = state->frames[index];
-    ReadRequest request;
-    request.file = ctx->store->file();
-    request.first_pid = pid;
-    request.page_count = 1;
-    request.frames = {frame};
-    request.completion_queue = &ctx->completions;
-    // The I/O worker validates and publishes the frame (MarkValid /
-    // MarkFailed) before this callback is queued.
-    request.pool = ctx->pool;
-    request.validate = ctx->options.validate_pages;
-    request.page_size = ctx->store->page_size();
-    request.flight = ctx->flight;
-    request.callback = [state](const Status& status) {
-      RunContext* ctx = state->ctx;
-      if (!status.ok()) ctx->RecordError(status);
-      if (state->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        ProcessChunk(ctx, std::move(state->chunk),
-                     std::move(state->frames));
-      }
-    };
-    ctx->engine->Submit(std::move(request));
+  for (const PageRun& run : runs) {
+    ctx->engine->Submit(RunRequest(
+        ctx, state->chunk.first_pid + run.first,
+        std::span<Frame* const>(state->frames).subspan(run.first, run.count),
+        [state](const Status& status) {
+          RunContext* ctx = state->ctx;
+          if (!status.ok()) ctx->RecordError(status);
+          if (state->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            ProcessChunk(ctx, std::move(state->chunk),
+                         std::move(state->frames));
+          }
+        }));
   }
 }
 
@@ -763,6 +795,32 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     ctx.external_pages.store(0);
     ctx.external_hits.store(0);
 
+    // Consecutive misses gather into one run, read with one request. A
+    // run is submitted before the loop does anything else, and before
+    // any wait: a concurrent query may be waiting on its pages.
+    uint32_t run_first = 0;  // index into internal_frames
+    uint32_t run_count = 0;
+    const auto submit_run = [&] {
+      if (run_count == 0) return;
+      ctx.group_in.Add();
+      RunContext* pctx = &ctx;
+      engine.Submit(RunRequest(
+          &ctx, ctx.plan.pid_lo + run_first,
+          std::span<Frame* const>(ctx.internal_frames)
+              .subspan(run_first, run_count),
+          [pctx, first = run_first, count = run_count](const Status& status) {
+            if (!status.ok()) {
+              pctx->RecordError(status);
+            } else {
+              for (uint32_t k = first; k < first + count; ++k) {
+                if (pctx->aborted()) break;
+                CollectCandidatesFromPage(pctx, pctx->internal_frames[k]->data);
+              }
+            }
+            pctx->group_in.Done();
+          }));
+      run_count = 0;
+    };
     for (uint32_t i = 0; i < pages; ++i) {
       const uint32_t pid = ctx.plan.pid_lo + i;
       auto fetch = pool->Fetch(ctx.Key(pid));
@@ -774,30 +832,12 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
       ctx.internal_frames[i] = f;
       ctx.RecordFetch(fetch->outcome, pid);
       if (fetch->outcome == BufferPool::FetchOutcome::kMiss) {
-        ctx.group_in.Add();
-        ReadRequest request;
-        request.file = store_->file();
-        request.first_pid = pid;
-        request.page_count = 1;
-        request.frames = {f};
-        request.completion_queue = &ctx.completions;
-        // Validation and MarkValid/MarkFailed happen on the I/O worker.
-        request.pool = pool;
-        request.validate = options_.validate_pages;
-        request.page_size = store_->page_size();
-        request.flight = ctx.flight;
-        RunContext* pctx = &ctx;
-        request.callback = [pctx, f](const Status& status) {
-          if (!status.ok()) {
-            pctx->RecordError(status);
-          } else if (!pctx->aborted()) {
-            CollectCandidatesFromPage(pctx, f->data);
-          }
-          pctx->group_in.Done();
-        };
-        engine.Submit(std::move(request));
+        if (run_count == kMaxRunPages) submit_run();
+        if (run_count == 0) run_first = i;
+        ++run_count;
         continue;
       }
+      submit_run();
       // Buffered by a previous iteration's external loads or by a
       // concurrent query — the paper's Δin I/O saving either way.
       iter.internal_cache_hits++;
@@ -816,6 +856,7 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
       OverlapProfiler::SetWork(/*internal_work=*/true);
       CollectCandidatesFromPage(&ctx, f->data);
     }
+    submit_run();
     // The main thread drains completion callbacks while remaining reads
     // are in flight (micro-level overlap of load and candidate parsing).
     while (!ctx.group_in.Finished()) {
@@ -827,9 +868,14 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     }
     OverlapProfiler::SetWork(/*internal_work=*/true);
     if (ctx.aborted()) {
-      for (Frame* f : ctx.internal_frames) {
-        if (f != nullptr) pool->Unpin(f);
-      }
+      // Fetching stops at the first failure, so the pinned frames are a
+      // prefix of the area.
+      const auto fetched =
+          std::find(ctx.internal_frames.begin(), ctx.internal_frames.end(),
+                    nullptr) -
+          ctx.internal_frames.begin();
+      pool->Unpin(std::span<Frame* const>(ctx.internal_frames)
+                      .first(static_cast<size_t>(fetched)));
       break;
     }
     iter.internal_pages = pages;
@@ -846,7 +892,7 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
         *store_, ctx.plan.pid_lo, ctx.internal_page_data);
     if (!view_status.ok()) {
       ctx.RecordError(view_status);
-      for (Frame* f : ctx.internal_frames) pool->Unpin(f);
+      pool->Unpin(ctx.internal_frames);
       break;
     }
 
@@ -971,7 +1017,7 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     run_stats.parallel_seconds += iter.overlap_seconds;
 
     // ----- Phase D: unpin the internal area (Algorithm 3 lines 12-13) --
-    for (Frame* f : ctx.internal_frames) pool->Unpin(f);
+    pool->Unpin(ctx.internal_frames);
 
     iter.internal_cpu_seconds =
         static_cast<double>(ctx.internal_cpu_micros.load()) * 1e-6;
@@ -1036,8 +1082,9 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     profiler->Stop();
     run_stats.profiled = true;
     run_stats.overlap = profiler->Report();
-    // Fit the cost model (§3.3): c is the measured per-page read
-    // latency; Cost(ideal) is the run's CPU work plus one sequential
+    // Fit the cost model (§3.3): c is the measured device time per page
+    // read (a run read with one command shares its time among its
+    // pages); Cost(ideal) is the run's CPU work plus one sequential
     // pass over the internal areas; the prediction adds c(Δex − Δin)
     // where Δin is pages the pool saved the internal fill and Δex is
     // pages the external loads actually re-read.

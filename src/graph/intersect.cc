@@ -59,8 +59,15 @@ struct ThreadCounterSlot {
 inline void CountCall(IntersectKernel kernel, size_t elements) {
   thread_local ThreadCounterSlot slot;
   const int k = static_cast<int>(kernel);
-  slot.cell.calls[k].fetch_add(1, std::memory_order_relaxed);
-  slot.cell.elements[k].fetch_add(elements, std::memory_order_relaxed);
+  // Each cell has one writer (its thread), so a relaxed load and store
+  // replace the locked read-modify-write; snapshot readers still see a
+  // whole value because the cells stay atomic.
+  std::atomic<uint64_t>& calls = slot.cell.calls[k];
+  std::atomic<uint64_t>& elems = slot.cell.elements[k];
+  calls.store(calls.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
+  elems.store(elems.load(std::memory_order_relaxed) + elements,
+              std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -23,6 +24,9 @@ struct IoCounters {
   /// Pages submitted but not yet published — the overlap profiler
   /// samples this to detect reads in flight (micro overlap).
   Gauge* inflight = Metrics().GetGauge("io.inflight_depth");
+  /// One sample per device read that delivered pages: a whole batched
+  /// run, or one page with its retries. The sum is AsyncIoStats'
+  /// read_micros across engines.
   HistogramMetric* page_read_us = Metrics().GetHistogram("io.page_read_us");
 };
 
@@ -87,9 +91,7 @@ void AsyncIoEngine::Submit(ReadRequest request) {
   const std::vector<Frame*> frames = pool != nullptr
                                          ? request.frames
                                          : std::vector<Frame*>();
-  if (pool != nullptr) {
-    for (Frame* f : frames) pool->Pin(f);
-  }
+  if (pool != nullptr) pool->Pin(frames);
   const uint32_t page_count = request.page_count;
   GlobalIoCounters().inflight->Add(page_count);
   if (!submissions_.Push(std::move(request))) {
@@ -97,11 +99,37 @@ void AsyncIoEngine::Submit(ReadRequest request) {
     // the failure (waiters must not hang on an unresolved miss) and
     // drop the engine pins taken above.
     GlobalIoCounters().inflight->Add(-static_cast<int64_t>(page_count));
-    for (Frame* f : frames) {
-      pool->MarkFailed(f);
-      pool->Unpin(f);
+    if (pool != nullptr) {
+      pool->MarkFailed(frames);
+      pool->Unpin(frames);
     }
   }
+}
+
+bool AsyncIoEngine::ReadRun(const ReadRequest& request,
+                            std::vector<char*>* dsts) {
+  if (request.page_count < 2) return false;
+  dsts->clear();
+  for (Frame* f : request.frames) dsts->push_back(f->data);
+  const auto start = std::chrono::steady_clock::now();
+  if (!request.file->ReadPages(request.first_pid, *dsts).ok()) return false;
+  const uint64_t micros = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  stats_.read_micros.fetch_add(micros, std::memory_order_relaxed);
+  GlobalIoCounters().page_read_us->Record(micros);
+  return true;
+}
+
+Status AsyncIoEngine::CheckPage(const ReadRequest& request,
+                               uint32_t index) const {
+  if (request.pool == nullptr || !request.validate) return Status::OK();
+  const uint32_t page_size = request.page_size != 0
+                                 ? request.page_size
+                                 : request.file->page_size();
+  return PageView(request.frames[index]->data, page_size)
+      .Validate(request.first_pid + index);
 }
 
 Status AsyncIoEngine::ReadPageWithRetry(const ReadRequest& request,
@@ -115,12 +143,7 @@ Status AsyncIoEngine::ReadPageWithRetry(const ReadRequest& request,
     // Validation is part of the attempt: a torn read reports OK at the
     // device layer and only the page CRC catches it, so the reread has
     // to happen here where the data is still in hand.
-    if (status.ok() && request.pool != nullptr && request.validate) {
-      const uint32_t page_size = request.page_size != 0
-                                     ? request.page_size
-                                     : request.file->page_size();
-      status = PageView(request.frames[index]->data, page_size).Validate(pid);
-    }
+    if (status.ok()) status = CheckPage(request, index);
     if (status.ok()) {
       const uint64_t micros =
           static_cast<uint64_t>(
@@ -175,6 +198,7 @@ Status AsyncIoEngine::ReadPageWithRetry(const ReadRequest& request,
 }
 
 void AsyncIoEngine::WorkerLoop() {
+  std::vector<char*> dsts;  // reused across runs
   for (;;) {
     auto item = submissions_.Pop();
     if (!item.has_value()) return;  // engine shutting down
@@ -185,33 +209,29 @@ void AsyncIoEngine::WorkerLoop() {
                         CurrentTraceRecorder() != nullptr
                             ? ReadArgsJson(request)
                             : std::string());
+    // One device read for the run; a page it did not deliver intact is
+    // read again alone, under its own retry budget. `done` counts the
+    // leading pages that are good.
+    const bool delivered = ReadRun(request, &dsts);
     Status status;
     uint32_t done = 0;
-    for (uint32_t i = 0; i < request.page_count && status.ok(); ++i) {
-      status = ReadPageWithRetry(request, i);
-      if (status.ok()) {
-        stats_.pages_read.fetch_add(1, std::memory_order_relaxed);
-        GlobalIoCounters().pages_read->Increment();
-        if (request.pool != nullptr) {
-          request.pool->MarkValid(request.frames[i]);
-        }
-        done = i + 1;
-      }
+    for (; done < request.page_count; ++done) {
+      if (delivered && CheckPage(request, done).ok()) continue;
+      status = ReadPageWithRetry(request, done);
+      if (!status.ok()) break;
     }
-    if (request.pool != nullptr && !status.ok()) {
+    stats_.pages_read.fetch_add(done, std::memory_order_relaxed);
+    GlobalIoCounters().pages_read->Increment(done);
+    if (request.pool != nullptr) {
+      const std::span<Frame* const> frames(request.frames);
+      request.pool->MarkValid(frames.first(done));
       // Publish the failure so concurrent waiters on any unfinished
       // frame of this request wake with an error instead of hanging.
-      for (uint32_t i = done; i < request.page_count; ++i) {
-        request.pool->MarkFailed(request.frames[i]);
-      }
-    }
-    if (request.pool != nullptr) {
+      if (!status.ok()) request.pool->MarkFailed(frames.subspan(done));
       // Every frame is published; release the engine pins taken at
       // Submit. Frames abandoned by all other pinners (WaitValid
       // timeout eviction) reclaim here through Unpin's orphan path.
-      for (uint32_t i = 0; i < request.page_count; ++i) {
-        request.pool->Unpin(request.frames[i]);
-      }
+      request.pool->Unpin(frames);
     }
     GlobalIoCounters().inflight->Add(
         -static_cast<int64_t>(request.page_count));

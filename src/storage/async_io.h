@@ -84,8 +84,11 @@ struct IoRetryPolicy {
 };
 
 /// A read of `page_count` consecutive pages starting at `first_pid`, each
-/// into its own (already pinned) frame. Multi-page requests carry an
-/// adjacency list that spans pages.
+/// into its own (already pinned) frame. A multi-page request is one run:
+/// the worker reads it with one vectored device read, then walks its
+/// pages in order, re-reading alone (under the retry policy) each page
+/// that read did not deliver intact. The first page that still fails
+/// fails it and every later page of the run.
 struct ReadRequest {
   PageFile* file = nullptr;
   uint32_t first_pid = 0;
@@ -95,14 +98,14 @@ struct ReadRequest {
   std::function<void(const Status&)> callback;
   CompletionQueue* completion_queue = nullptr;
   /// When set, the I/O worker itself publishes every frame — validating
-  /// the page CRC if `validate` — via MarkValid/MarkFailed *before*
-  /// queueing the completion. Required when `frames` live in a pool
-  /// shared with concurrent queries: their WaitValid() must never depend
-  /// on this query draining its completion queue. The engine also holds
-  /// its own pin on each frame from Submit until publication, so a
-  /// frame whose page was evicted by a WaitValid timeout (and whose
-  /// other pins all dropped) can never be recycled to a different page
-  /// while the worker still writes into it.
+  /// the page CRC if `validate` — via MarkValid/MarkFailed, once for the
+  /// whole run, *before* queueing the completion. Required when `frames`
+  /// live in a pool shared with concurrent queries: their WaitValid()
+  /// must never depend on this query draining its completion queue. The
+  /// engine also holds its own pin on each frame from Submit until
+  /// publication, so a frame whose page was evicted by a WaitValid
+  /// timeout (and whose other pins all dropped) can never be recycled to
+  /// a different page while the worker still writes into it.
   BufferPool* pool = nullptr;
   bool validate = false;
   uint32_t page_size = 0;  // for validation; defaults to file page size
@@ -113,6 +116,7 @@ struct ReadRequest {
 };
 
 struct AsyncIoStats {
+  /// Requests submitted: one per run of pages, not per page.
   std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> pages_read{0};
   /// Final failures only: a page whose retry budget ran out (each also
@@ -121,9 +125,10 @@ struct AsyncIoStats {
   std::atomic<uint64_t> read_errors{0};
   std::atomic<uint64_t> retries{0};
   std::atomic<uint64_t> giveups{0};
-  /// Total wall-micros spent reading successful pages (retries
-  /// included): read_micros / pages_read is the measured per-page read
-  /// latency that fits the cost model's `c` (DESIGN.md §9).
+  /// Wall-micros of the device reads that delivered pages: each batched
+  /// run read counts once, each per-page read (fallback or single-page
+  /// request) with its retries. read_micros / pages_read is the device
+  /// time per page that fits the cost model's `c` (DESIGN.md §9).
   std::atomic<uint64_t> read_micros{0};
   void Reset() {
     requests = 0;
@@ -156,6 +161,14 @@ class AsyncIoEngine {
 
  private:
   void WorkerLoop();
+  /// The batched first attempt at a multi-page run: one device read
+  /// into every frame. True when it delivered the pages (each still
+  /// needs its CRC checked). The attempt is charged to no page's retry
+  /// budget; single-page requests skip it.
+  bool ReadRun(const ReadRequest& request, std::vector<char*>* dsts);
+  /// Checks the CRC of the page at `index` when the request validates;
+  /// OK otherwise.
+  Status CheckPage(const ReadRequest& request, uint32_t index) const;
   /// One page's read + (optional) CRC validation under the retry policy.
   Status ReadPageWithRetry(const ReadRequest& request, uint32_t index);
 

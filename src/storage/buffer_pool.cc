@@ -143,24 +143,28 @@ Result<BufferPool::FetchResult> BufferPool::Fetch(PageKey key) {
   return FetchResult{frame, FetchOutcome::kMiss};
 }
 
-void BufferPool::MarkValid(Frame* frame) {
+void BufferPool::MarkValid(std::span<Frame* const> frames) {
+  if (frames.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    frame->valid = true;
+    for (Frame* frame : frames) frame->valid = true;
   }
   valid_cv_.notify_all();
 }
 
-void BufferPool::MarkFailed(Frame* frame) {
+void BufferPool::MarkFailed(std::span<Frame* const> frames) {
+  if (frames.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    frame->failed = true;
-    auto it = page_table_.find(frame->key);
-    if (it != page_table_.end() && it->second == frame->index) {
-      DropPageLocked(frame->key);
+    for (Frame* frame : frames) {
+      frame->failed = true;
+      auto it = page_table_.find(frame->key);
+      if (it != page_table_.end() && it->second == frame->index) {
+        DropPageLocked(frame->key);
+      }
     }
   }
-  GlobalFetchCounters().failed_pages->Increment();
+  GlobalFetchCounters().failed_pages->Increment(frames.size());
   valid_cv_.notify_all();
 }
 
@@ -210,15 +214,18 @@ Status BufferPool::WaitValid(Frame* frame, uint64_t timeout_millis) {
   return Status::OK();
 }
 
-void BufferPool::Pin(Frame* frame) {
+void BufferPool::Pin(std::span<Frame* const> frames) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (frame->pins++ == 0) RemoveEvictableLocked(*frame);
+  for (Frame* frame : frames) {
+    if (frame->pins++ == 0) RemoveEvictableLocked(*frame);
+  }
 }
 
-void BufferPool::Unpin(Frame* frame) {
+void BufferPool::Unpin(std::span<Frame* const> frames) {
   std::lock_guard<std::mutex> lock(mutex_);
-  assert(frame->pins > 0);
-  if (--frame->pins == 0) {
+  for (Frame* frame : frames) {
+    assert(frame->pins > 0);
+    if (--frame->pins != 0) continue;
     // Reclaim orphans: frames dropped from the table while pinned
     // (MarkFailed, or a Clear/DropOwner racing pins) have no path back
     // to the free list except here.

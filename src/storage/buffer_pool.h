@@ -30,6 +30,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -131,14 +132,16 @@ class BufferPool {
   /// pinned.
   Result<FetchResult> Fetch(PageKey key);
 
-  /// Marks a frame's content as complete: later fetches of its page are
-  /// kHit and WaitValid() returns OK.
-  void MarkValid(Frame* frame);
+  /// Marks the frames' content as complete: later fetches of their
+  /// pages are kHit and WaitValid() returns OK. A run of frames is
+  /// published under one lock with one wake-up; pass `{&frame, 1}` for
+  /// a single frame.
+  void MarkValid(std::span<Frame* const> frames);
 
-  /// Marks an owned read as failed: the page is dropped from the table
-  /// (a later Fetch re-reads it) and current waiters get an IOError.
-  /// The frame itself is reclaimed when its last pin goes away.
-  void MarkFailed(Frame* frame);
+  /// Marks owned reads as failed: the pages are dropped from the table
+  /// (a later Fetch re-reads them) and current waiters get an IOError.
+  /// Each frame is reclaimed when its last pin goes away.
+  void MarkFailed(std::span<Frame* const> frames);
 
   /// Blocks until `frame` (which the caller must hold a pin on) becomes
   /// valid or its read fails. `timeout_millis` bounds the wait: 0 waits
@@ -149,8 +152,9 @@ class BufferPool {
   /// more waiters onto the wedged frame.
   Status WaitValid(Frame* frame, uint64_t timeout_millis = 0);
 
-  void Pin(Frame* frame);
-  void Unpin(Frame* frame);
+  /// Adds or drops one pin on each frame, under one lock for the run.
+  void Pin(std::span<Frame* const> frames);
+  void Unpin(std::span<Frame* const> frames);
 
   /// Drops all cached, unpinned pages (between independent runs).
   void Clear();

@@ -2,19 +2,80 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
 
+#include "util/aligned_buffer.h"
+
 namespace opt {
+
+Status RandomAccessFile::ReadV(uint64_t offset, size_t n,
+                               std::span<char* const> dsts) const {
+  if (dsts.size() == 1) return Read(offset, n, dsts[0]);
+  // One staging buffer per thread, kept between calls: a fresh 128 KiB
+  // allocation per run would cost an mmap, page faults and a munmap.
+  thread_local AlignedBuffer staging;
+  const size_t total = n * dsts.size();
+  if (staging.size() < total) staging = AlignedBuffer(total);
+  OPT_RETURN_IF_ERROR(Read(offset, total, staging.data()));
+  for (size_t i = 0; i < dsts.size(); ++i) {
+    std::memcpy(dsts[i], staging.data() + i * n, n);
+  }
+  return Status::OK();
+}
 
 namespace {
 
 std::string ErrnoMessage(const std::string& context) {
   return context + ": " + std::strerror(errno);
+}
+
+/// preadv until every block is filled: `dsts.size()` n-byte blocks from
+/// `offset`. A zero-byte return (EOF) is an IOError.
+Status PreadvFully(int fd, const std::string& path, uint64_t offset,
+                   size_t n, std::span<char* const> dsts) {
+  constexpr size_t kBatch = 64;  // blocks per preadv call; below IOV_MAX
+  iovec iov[kBatch];
+  while (!dsts.empty() && n > 0) {
+    const size_t count = std::min(dsts.size(), kBatch);
+    for (size_t i = 0; i < count; ++i) iov[i] = {dsts[i], n};
+    size_t first = 0;
+    while (first < count) {
+      const ssize_t r = ::preadv(fd, iov + first,
+                                 static_cast<int>(count - first),
+                                 static_cast<off_t>(offset));
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        return Status::IOError(ErrnoMessage("preadv " + path));
+      }
+      if (r == 0) {
+        return Status::IOError("short read at offset " +
+                               std::to_string(offset) + " in " + path);
+      }
+      offset += static_cast<uint64_t>(r);
+      // Skip the blocks this call filled; resume inside a partial one.
+      size_t left = static_cast<size_t>(r);
+      while (left > 0) {
+        iovec& v = iov[first];
+        if (left >= v.iov_len) {
+          left -= v.iov_len;
+          ++first;
+        } else {
+          v.iov_base = static_cast<char*>(v.iov_base) + left;
+          v.iov_len -= left;
+          left = 0;
+        }
+      }
+    }
+    dsts = dsts.subspan(count);
+  }
+  return Status::OK();
 }
 
 class PosixRandomAccessFile : public RandomAccessFile {
@@ -24,21 +85,13 @@ class PosixRandomAccessFile : public RandomAccessFile {
   ~PosixRandomAccessFile() override { ::close(fd_); }
 
   Status Read(uint64_t offset, size_t n, char* dst) const override {
-    size_t done = 0;
-    while (done < n) {
-      const ssize_t r = ::pread(fd_, dst + done, n - done,
-                                static_cast<off_t>(offset + done));
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError(ErrnoMessage("pread " + path_));
-      }
-      if (r == 0) {
-        return Status::IOError("short read at offset " +
-                               std::to_string(offset) + " in " + path_);
-      }
-      done += static_cast<size_t>(r);
-    }
-    return Status::OK();
+    char* const dsts[1] = {dst};
+    return PreadvFully(fd_, path_, offset, n, dsts);
+  }
+
+  Status ReadV(uint64_t offset, size_t n,
+               std::span<char* const> dsts) const override {
+    return PreadvFully(fd_, path_, offset, n, dsts);
   }
 
  private:
@@ -134,12 +187,19 @@ class ThrottledRandomAccessFile : public RandomAccessFile {
         stats_(stats) {}
 
   Status Read(uint64_t offset, size_t n, char* dst) const override {
+    char* const dsts[1] = {dst};
+    return ReadV(offset, n, dsts);
+  }
+
+  /// One command, one latency, however many blocks it carries.
+  Status ReadV(uint64_t offset, size_t n,
+               std::span<char* const> dsts) const override {
     if (latency_micros_ > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(latency_micros_));
     }
     stats_->reads.fetch_add(1, std::memory_order_relaxed);
-    stats_->read_bytes.fetch_add(n, std::memory_order_relaxed);
-    return base_->Read(offset, n, dst);
+    stats_->read_bytes.fetch_add(n * dsts.size(), std::memory_order_relaxed);
+    return base_->ReadV(offset, n, dsts);
   }
 
  private:
@@ -208,6 +268,23 @@ class DirectIoFile : public RandomAccessFile {
     }
     std::free(raw);
     return s;
+  }
+
+  /// preadv straight into the destinations when every block is aligned
+  /// (page-sized runs into pool frames); otherwise the staging default,
+  /// whose single Read handles the misalignment.
+  Status ReadV(uint64_t offset, size_t n,
+               std::span<char* const> dsts) const override {
+    constexpr uint64_t kAlign = 4096;
+    bool aligned = offset % kAlign == 0 && n % kAlign == 0;
+    for (char* dst : dsts) {
+      aligned = aligned && reinterpret_cast<uintptr_t>(dst) % kAlign == 0;
+    }
+    if (!aligned) return RandomAccessFile::ReadV(offset, n, dsts);
+    if (offset + n * dsts.size() > file_size_) {
+      return Status::IOError("read past end of " + path_);
+    }
+    return PreadvFully(fd_, path_, offset, n, dsts);
   }
 
  private:

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "util/slice.h"
@@ -22,6 +23,15 @@ class RandomAccessFile {
   /// Reads exactly n bytes at `offset` into `dst` (short reads at EOF
   /// return IOError).
   virtual Status Read(uint64_t offset, size_t n, char* dst) const = 0;
+
+  /// Vectored read: `dsts.size()` consecutive n-byte blocks starting at
+  /// `offset`, block i into dsts[i], as one device command (a run of
+  /// pages). The default issues one Read into an aligned staging buffer
+  /// and copies the blocks out, so a decorator that overrides only Read
+  /// still sees exactly one Read per call; the POSIX files override it
+  /// with preadv straight into the destinations.
+  virtual Status ReadV(uint64_t offset, size_t n,
+                       std::span<char* const> dsts) const;
 };
 
 /// Sequential append-only writes.
@@ -62,10 +72,12 @@ class Env {
   static Env* Default();
 };
 
-/// Wraps an Env and injects a fixed latency per read, emulating device
-/// access cost; also counts I/O operations. `read_latency_micros` applies
-/// to each RandomAccessFile::Read and `parallelism` caps how many injected
-/// latencies may elapse concurrently (an SSD's internal queue depth).
+/// Wraps an Env and injects a fixed latency per read command, emulating
+/// device access cost; also counts I/O operations. `read_latency_micros`
+/// is charged once per RandomAccessFile::Read or ReadV call, whatever its
+/// size: an SSD serves a 4 KiB and a 128 KiB random read in about the
+/// same time, so a run of pages read with one command costs one latency.
+/// `stats().reads` counts commands; `read_bytes` is their volume.
 class ThrottledEnv : public Env {
  public:
   ThrottledEnv(Env* base, uint32_t read_latency_micros,

@@ -184,10 +184,20 @@ class FaultInjectingFile : public RandomAccessFile {
         path_hash_(HashPath(path_)), faultable_(env->PathFaultable(path_)) {}
 
   Status Read(uint64_t offset, size_t n, char* dst) const override {
+    char* const dsts[1] = {dst};
+    return ReadV(offset, n, dsts);
+  }
+
+  /// Every decision is made per n-byte block at that block's own offset,
+  /// with the same keys a single-block Read of it uses, so a plan faults
+  /// the inner pages of a run exactly as it faults them one by one. The
+  /// block size comes from the caller: tests use 256-byte pages.
+  Status ReadV(uint64_t offset, size_t n,
+               std::span<char* const> dsts) const override {
     FaultStats& stats = env_->stats();
     stats.reads.fetch_add(1, std::memory_order_relaxed);
     const uint64_t op = env_->NextReadOp();
-    if (!env_->enabled() || !faultable_) return base_->Read(offset, n, dst);
+    if (!env_->enabled() || !faultable_) return base_->ReadV(offset, n, dsts);
     const FaultPlan& plan = env_->plan();
 
     if (plan.fail_reads_after >= 0 &&
@@ -199,49 +209,54 @@ class FaultInjectingFile : public RandomAccessFile {
                              plan.ToString() + ")");
     }
 
-    const uint64_t latency_key =
-        LocationKey(plan.seed, path_hash_, offset, kLatencySalt);
-    if (Decide(latency_key, plan.latency_p)) {
-      stats.injected_latency.fetch_add(1, std::memory_order_relaxed);
-      GlobalFaultCounters().latency->Increment();
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(plan.latency_us));
-    }
+    // Blocks are reached in order, and the command fails at the first
+    // faulted one: blocks past it are never attempted.
+    for (size_t i = 0; i < dsts.size(); ++i) {
+      const uint64_t block = offset + i * n;
+      const uint64_t latency_key =
+          LocationKey(plan.seed, path_hash_, block, kLatencySalt);
+      if (Decide(latency_key, plan.latency_p)) {
+        stats.injected_latency.fetch_add(1, std::memory_order_relaxed);
+        GlobalFaultCounters().latency->Increment();
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(plan.latency_us));
+      }
 
-    const uint64_t error_key =
-        LocationKey(plan.seed, path_hash_, offset, kErrorSalt);
-    if (Decide(error_key, plan.read_error_p)) {
-      const uint32_t attempt = env_->NextAttempt(error_key);
-      if (plan.transient == 0 || attempt <= plan.transient) {
-        stats.injected_read_errors.fetch_add(1, std::memory_order_relaxed);
-        GlobalFaultCounters().read_errors->Increment();
-        return Status::IOError(
-            "injected " +
-            std::string(plan.transient == 0 ? "persistent" : "transient") +
-            " fault at " + path_ + " offset " + std::to_string(offset) +
-            " attempt " + std::to_string(attempt) + " (fault plan " +
-            plan.ToString() + ")");
+      const uint64_t error_key =
+          LocationKey(plan.seed, path_hash_, block, kErrorSalt);
+      if (Decide(error_key, plan.read_error_p)) {
+        const uint32_t attempt = env_->NextAttempt(error_key);
+        if (plan.transient == 0 || attempt <= plan.transient) {
+          stats.injected_read_errors.fetch_add(1, std::memory_order_relaxed);
+          GlobalFaultCounters().read_errors->Increment();
+          return Status::IOError(
+              "injected " +
+              std::string(plan.transient == 0 ? "persistent" : "transient") +
+              " fault at " + path_ + " offset " + std::to_string(block) +
+              " attempt " + std::to_string(attempt) + " (fault plan " +
+              plan.ToString() + ")");
+        }
       }
     }
 
-    OPT_RETURN_IF_ERROR(base_->Read(offset, n, dst));
+    OPT_RETURN_IF_ERROR(base_->ReadV(offset, n, dsts));
 
-    const uint64_t torn_key =
-        LocationKey(plan.seed, path_hash_, offset, kTornSalt);
-    if (Decide(torn_key, plan.torn_read_p)) {
+    for (size_t i = 0; i < dsts.size(); ++i) {
+      const uint64_t torn_key =
+          LocationKey(plan.seed, path_hash_, offset + i * n, kTornSalt);
+      if (!Decide(torn_key, plan.torn_read_p)) continue;
       const uint32_t attempt = env_->NextAttempt(torn_key);
-      if (plan.transient == 0 || attempt <= plan.transient) {
-        stats.injected_torn_reads.fetch_add(1, std::memory_order_relaxed);
-        GlobalFaultCounters().torn_reads->Increment();
-        // Garble the tail quarter deterministically: a torn read that
-        // "succeeded" at the syscall layer but whose trailing sectors
-        // never made it. Page CRC validation is what must catch this.
-        const size_t torn = std::max<size_t>(1, n / 4);
-        uint64_t noise = Mix64(torn_key ^ attempt);
-        for (size_t i = n - torn; i < n; ++i) {
-          noise = Mix64(noise);
-          dst[i] = static_cast<char>(noise & 0xFF);
-        }
+      if (plan.transient != 0 && attempt > plan.transient) continue;
+      stats.injected_torn_reads.fetch_add(1, std::memory_order_relaxed);
+      GlobalFaultCounters().torn_reads->Increment();
+      // Garble the block's tail quarter deterministically: a torn read
+      // that "succeeded" at the syscall layer but whose trailing sectors
+      // never made it. Page CRC validation is what must catch this.
+      const size_t torn = std::max<size_t>(1, n / 4);
+      uint64_t noise = Mix64(torn_key ^ attempt);
+      for (size_t b = n - torn; b < n; ++b) {
+        noise = Mix64(noise);
+        dsts[i][b] = static_cast<char>(noise & 0xFF);
       }
     }
     return Status::OK();

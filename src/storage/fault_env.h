@@ -39,8 +39,9 @@ constexpr uint64_t kNoWriteFault = ~0ull;
 struct FaultPlan {
   uint64_t seed = 1;
 
-  /// Per-location read fault probability. A "location" is (path, offset);
-  /// whether it faults is a pure function of (seed, path, offset).
+  /// Per-location read fault probability. A "location" is (path, offset)
+  /// of one read block: a whole Read, or one page of a vectored ReadV.
+  /// Whether it faults is a pure function of (seed, path, offset).
   double read_error_p = 0;
   /// How many attempts fail at a faulted location before reads heal.
   /// 0 means persistent: every attempt fails forever.

@@ -30,6 +30,18 @@ Status PageFile::ReadPage(uint32_t pid, char* dst) const {
                      dst);
 }
 
+Status PageFile::ReadPages(uint32_t first_pid,
+                           std::span<char* const> dsts) const {
+  if (static_cast<uint64_t>(first_pid) + dsts.size() > num_pages_) {
+    return Status::OutOfRange(
+        "pages " + std::to_string(first_pid) + ".." +
+        std::to_string(static_cast<uint64_t>(first_pid) + dsts.size() - 1) +
+        " beyond end of " + path_);
+  }
+  return file_->ReadV(static_cast<uint64_t>(first_pid) * page_size_,
+                      page_size_, dsts);
+}
+
 Result<std::unique_ptr<PageFileWriter>> PageFileWriter::Create(
     Env* env, const std::string& path, uint32_t page_size) {
   OPT_ASSIGN_OR_RETURN(auto file, env->OpenWritable(path));

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "storage/env.h"
@@ -19,6 +20,10 @@ class PageFile {
 
   /// Reads page `pid` into `dst` (page_size bytes). Thread safe.
   Status ReadPage(uint32_t pid, char* dst) const;
+
+  /// Reads pages [first_pid, first_pid + dsts.size()) with one vectored
+  /// device read, page i into dsts[i]. Thread safe.
+  Status ReadPages(uint32_t first_pid, std::span<char* const> dsts) const;
 
   uint32_t num_pages() const { return num_pages_; }
   uint32_t page_size() const { return page_size_; }

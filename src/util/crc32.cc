@@ -31,7 +31,7 @@ const Crc32cTable& GetTable() {
 
 }  // namespace
 
-uint32_t Crc32c(uint32_t crc, const void* data, size_t n) {
+uint32_t Crc32cPortable(uint32_t crc, const void* data, size_t n) {
   const auto& t = GetTable().table;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   crc = ~crc;
@@ -52,6 +52,50 @@ uint32_t Crc32c(uint32_t crc, const void* data, size_t n) {
     crc = (crc >> 8) ^ t[0][(crc ^ *p++) & 0xFF];
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+
+// Compiled for SSE4.2 by attribute, so the build needs no -msse4.2 and
+// the rest of the binary still runs on CPUs without it.
+__attribute__((target("sse4.2"))) uint32_t Crc32cHardware(uint32_t crc,
+                                                          const void* data,
+                                                          size_t n) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t c = ~crc;
+  while (n >= 8) {
+    uint64_t word;
+    __builtin_memcpy(&word, p, 8);
+    c = __builtin_ia32_crc32di(c, word);
+    p += 8;
+    n -= 8;
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  while (n-- > 0) c32 = __builtin_ia32_crc32qi(c32, *p++);
+  return ~c32;
+}
+
+bool Crc32cHardwareSupported() {
+  static const bool supported = [] {
+    __builtin_cpu_init();  // the check may run before libgcc's own init
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return supported;
+}
+
+#else
+
+uint32_t Crc32cHardware(uint32_t crc, const void* data, size_t n) {
+  return Crc32cPortable(crc, data, n);
+}
+
+bool Crc32cHardwareSupported() { return false; }
+
+#endif
+
+uint32_t Crc32c(uint32_t crc, const void* data, size_t n) {
+  return Crc32cHardwareSupported() ? Crc32cHardware(crc, data, n)
+                                   : Crc32cPortable(crc, data, n);
 }
 
 }  // namespace opt

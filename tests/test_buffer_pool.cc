@@ -32,8 +32,8 @@ TEST(BufferPoolTest, MissThenHit) {
   ASSERT_TRUE(in_flight.ok());
   EXPECT_EQ(in_flight->outcome, FetchOutcome::kInFlight);
   EXPECT_EQ(in_flight->frame, miss->frame);
-  pool.Unpin(in_flight->frame);
-  pool.MarkValid(miss->frame);
+  pool.Unpin({&in_flight->frame, 1});
+  pool.MarkValid({&miss->frame, 1});
   auto hit = pool.Fetch(7);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->outcome, FetchOutcome::kHit);
@@ -48,14 +48,14 @@ TEST(BufferPoolTest, EvictsColdestUnpinned) {
   for (PageKey key : {PageKey{0}, PageKey{1}}) {
     auto fetched = pool.Fetch(key);
     ASSERT_TRUE(fetched.ok());
-    pool.MarkValid(fetched->frame);
-    pool.Unpin(fetched->frame);
+    pool.MarkValid({&fetched->frame, 1});
+    pool.Unpin({&fetched->frame, 1});
   }
   // Touch page 0 so page 1 is coldest.
   auto touch = pool.Fetch(0);
   ASSERT_TRUE(touch.ok());
   EXPECT_EQ(touch->outcome, FetchOutcome::kHit);
-  pool.Unpin(touch->frame);
+  pool.Unpin({&touch->frame, 1});
   auto f2 = pool.Fetch(2);
   ASSERT_TRUE(f2.ok());
   EXPECT_EQ(f2->outcome, FetchOutcome::kMiss);
@@ -63,7 +63,7 @@ TEST(BufferPoolTest, EvictsColdestUnpinned) {
   auto f0 = pool.Fetch(0);  // survived
   ASSERT_TRUE(f0.ok());
   EXPECT_EQ(f0->outcome, FetchOutcome::kHit);
-  pool.Unpin(f0->frame);
+  pool.Unpin({&f0->frame, 1});
   auto f1 = pool.Fetch(1);  // evicted: a fresh read
   ASSERT_TRUE(f1.ok());
   EXPECT_EQ(f1->outcome, FetchOutcome::kMiss);
@@ -85,9 +85,9 @@ TEST(BufferPoolTest, ClearDropsUnpinnedOnly) {
   auto unpinned = pool.Fetch(2);
   ASSERT_TRUE(pinned.ok());
   ASSERT_TRUE(unpinned.ok());
-  pool.MarkValid(pinned->frame);
-  pool.MarkValid(unpinned->frame);
-  pool.Unpin(unpinned->frame);
+  pool.MarkValid({&pinned->frame, 1});
+  pool.MarkValid({&unpinned->frame, 1});
+  pool.Unpin({&unpinned->frame, 1});
   pool.Clear();
   auto dropped = pool.Fetch(2);
   ASSERT_TRUE(dropped.ok());
@@ -281,7 +281,7 @@ TEST(BufferPoolReplacementTest, EvictsExactlyWhatTheListScanWould) {
       const PageKey key = MakePageKey(kBlockOwner, pid);
       auto got = pool.Fetch(key);
       ASSERT_EQ(model.Fetch(key, got), "");
-      pool.MarkValid(got->frame);
+      pool.MarkValid({&got->frame, 1});
       model.MarkValid(got->frame->index);
     }
 
@@ -313,10 +313,10 @@ TEST(BufferPoolReplacementTest, EvictsExactlyWhatTheListScanWould) {
         Frame* frame = unresolved[i];
         unresolved.erase(unresolved.begin() + static_cast<ptrdiff_t>(i));
         if (rng.Uniform(5) == 0) {
-          pool.MarkFailed(frame);
+          pool.MarkFailed({&frame, 1});
           model.MarkFailed(frame->index);
         } else {
-          pool.MarkValid(frame);
+          pool.MarkValid({&frame, 1});
           model.MarkValid(frame->index);
         }
         held.push_back(frame);
@@ -326,12 +326,12 @@ TEST(BufferPoolReplacementTest, EvictsExactlyWhatTheListScanWould) {
         Frame* frame = held[i];
         held.erase(held.begin() + static_cast<ptrdiff_t>(i));
         const uint32_t index = frame->index;
-        pool.Unpin(frame);
+        pool.Unpin({&frame, 1});
         model.Unpin(index);
       } else if (dice < 95) {
         if (held.empty()) continue;
         Frame* frame = held[rng.Uniform(held.size())];
-        pool.Pin(frame);
+        pool.Pin({&frame, 1});
         model.Pin(frame->index);
         held.push_back(frame);
       } else if (dice < 99) {
@@ -352,17 +352,17 @@ TEST(BufferPoolReplacementTest, EvictsExactlyWhatTheListScanWould) {
     EXPECT_GT(pool.stats().evictions.load(), static_cast<uint64_t>(kOps / 20));
 
     for (Frame* frame : unresolved) {
-      pool.MarkValid(frame);
-      pool.Unpin(frame);
+      pool.MarkValid({&frame, 1});
+      pool.Unpin({&frame, 1});
     }
-    for (Frame* frame : held) pool.Unpin(frame);
+    pool.Unpin(held);
     // The pinned block was never evicted.
     for (uint32_t pid = 0; pid < block; ++pid) {
       auto got = pool.Fetch(MakePageKey(kBlockOwner, pid));
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(got->outcome, FetchOutcome::kHit);
-      pool.Unpin(got->frame);  // the test's second pin
-      pool.Unpin(got->frame);  // the block's own pin
+      pool.Unpin({&got->frame, 1});  // the test's second pin
+      pool.Unpin({&got->frame, 1});  // the block's own pin
     }
   }
 }
@@ -392,7 +392,7 @@ TEST(BufferPoolStressTest, ConcurrentFetchUnpinNeverSharesAFrame) {
     auto got = pool.Fetch(MakePageKey(kBlockOwner, pid));
     ASSERT_TRUE(got.ok());
     stamp(got->frame, MakePageKey(kBlockOwner, pid));
-    pool.MarkValid(got->frame);
+    pool.MarkValid({&got->frame, 1});
     block.push_back(got->frame);
   }
 
@@ -412,14 +412,14 @@ TEST(BufferPoolStressTest, ConcurrentFetchUnpinNeverSharesAFrame) {
         if (frame->key != key) failures.fetch_add(1);
         if (got->outcome == FetchOutcome::kMiss) {
           stamp(frame, key);
-          pool.MarkValid(frame);
+          pool.MarkValid({&frame, 1});
         } else if (!pool.WaitValid(frame).ok()) {
           failures.fetch_add(1);
         }
         if (stamped(frame) != key) failures.fetch_add(1);
         if (i % 16 == 0) std::this_thread::yield();
         if (stamped(frame) != key) failures.fetch_add(1);
-        pool.Unpin(frame);
+        pool.Unpin({&frame, 1});
       }
     });
   }
@@ -440,8 +440,8 @@ TEST(BufferPoolStressTest, ConcurrentFetchUnpinNeverSharesAFrame) {
     EXPECT_EQ(got->outcome, FetchOutcome::kHit);
     EXPECT_EQ(got->frame, block[pid]);
     EXPECT_EQ(stamped(got->frame), MakePageKey(kBlockOwner, pid));
-    pool.Unpin(got->frame);
-    pool.Unpin(got->frame);
+    pool.Unpin({&got->frame, 1});
+    pool.Unpin({&got->frame, 1});
   }
 }
 

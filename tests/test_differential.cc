@@ -10,7 +10,8 @@
 // Kernel-isolation tests check that a run's kernel and hub index stay
 // inside that run, also with two runners at once. The candidate-planning
 // test recomputes each iteration's external candidates and page runs
-// from the CSR graph.
+// from the CSR graph; the page-run test checks that runs of missing
+// pages reach the device as one read each.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -320,6 +321,36 @@ TEST_F(DifferentialTest, CandidatePlanningMatchesTheGraph) {
       EXPECT_GT(planned, 0u);
     }
   }
+}
+
+TEST_F(DifferentialTest, PageRunsReadEveryPageInFewerDeviceReads) {
+  // Deterministic configuration (OPT_serial, one I/O worker) on a store
+  // whose hub records span pages: each run of consecutive missing pages
+  // is one device read. The count stays exact, the device sees fewer
+  // reads than pages, and it reads exactly the pages the run accounts.
+  CSRGraph g = MakeRmat(7);
+  const uint64_t oracle = testutil::OracleCount(g);
+  ThrottledEnv env(Env::Default(), 0);
+  auto store = testutil::MakeStore(g, &env, "diff_runs", 256);
+  ASSERT_GE(store->MaxRecordPages(), 2u);
+  const uint32_t m_in =
+      std::max(store->MaxRecordPages(), store->num_pages() / 6);
+  OptOptions options = MakeOptions({"small", m_in, m_in}, /*threads=*/1,
+                                   /*morph=*/false, /*backward=*/true,
+                                   IntersectKernel::kAuto);
+  options.io_queue_depth = 1;
+  EdgeIteratorModel model;
+  OptRunner runner(store.get(), &model, options);
+  CountingSink sink;
+  OptRunStats stats;
+  env.stats().Reset();
+  const Status s = runner.Run(&sink, &stats);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(sink.count(), oracle);
+  ASSERT_GE(stats.iterations, 3u);
+  const uint64_t pages = stats.internal_pages_read + stats.external_pages_read;
+  EXPECT_LT(env.stats().reads.load(), pages);
+  EXPECT_EQ(env.stats().read_bytes.load(), pages * store->page_size());
 }
 
 TEST_F(DifferentialTest, HubSplitSweepBitIdenticalAcrossSplitPoints) {

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +196,109 @@ TEST(FaultInjectingEnv, TransientFaultsHealAfterConfiguredAttempts) {
   EXPECT_EQ(env.stats().injected_read_errors.load(), 3u);
 }
 
+TEST(FaultInjectingEnv, VectoredReadsMeetTheFaultsOfTheirBlocks) {
+  // A ReadV of a run must meet exactly the faults its blocks meet when
+  // read one by one: every decision is keyed on each block's own offset,
+  // inner blocks included. Keying on the start of the read instead would
+  // let blocks 2..n of every run escape injection.
+  constexpr size_t kBlock = 256;  // a test page, not an assumed 4 KiB
+  constexpr uint32_t kBlocks = 64;
+  constexpr uint32_t kRun = 4;
+  Env* base = Env::Default();
+  const std::string path =
+      testutil::ProcessTempDir() + "/fault_vectored.pages";
+  std::string clean(kBlock * kBlocks, '\0');
+  for (size_t i = 0; i < clean.size(); ++i) {
+    clean[i] = static_cast<char>(i / kBlock);
+  }
+  {
+    auto file = base->OpenWritable(path);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append(Slice(clean.data(), clean.size())).ok());
+    ASSERT_TRUE((*file)->Close().ok());
+  }
+  std::vector<std::vector<char>> blocks(kBlocks, std::vector<char>(kBlock));
+  std::vector<char*> dsts;
+  for (auto& b : blocks) dsts.push_back(b.data());
+  const auto block_clean = [&](uint32_t i) {
+    return std::equal(blocks[i].begin(), blocks[i].end(),
+                      clean.begin() + i * kBlock);
+  };
+
+  // Errors: a run fails exactly when one of its blocks fails alone.
+  auto errors = FaultPlan::Parse("seed=9,read_error_p=0.3,transient=0");
+  ASSERT_TRUE(errors.ok());
+  std::vector<bool> failed(kBlocks);
+  {
+    FaultInjectingEnv env(base, *errors);
+    auto file = env.OpenRandomAccess(path);
+    ASSERT_TRUE(file.ok());
+    for (uint32_t i = 0; i < kBlocks; ++i) {
+      failed[i] = !(*file)->Read(i * kBlock, kBlock, dsts[i]).ok();
+    }
+  }
+  FaultInjectingEnv error_env(base, *errors);
+  auto error_file = error_env.OpenRandomAccess(path);
+  ASSERT_TRUE(error_file.ok());
+  uint32_t inner_only_runs = 0;
+  for (uint32_t first = 0; first + kRun <= kBlocks; ++first) {
+    const bool any = std::find(failed.begin() + first,
+                               failed.begin() + first + kRun,
+                               true) != failed.begin() + first + kRun;
+    const Status s = (*error_file)->ReadV(
+        first * kBlock, kBlock,
+        std::span<char* const>(dsts).subspan(first, kRun));
+    EXPECT_EQ(!s.ok(), any) << "run at block " << first << " under "
+                            << errors->ToString();
+    if (any && !failed[first]) ++inner_only_runs;
+  }
+  EXPECT_GT(inner_only_runs, 0u);  // some run's fault is on an inner block
+
+  // Torn reads: one ReadV of the whole file garbles exactly the blocks
+  // that single reads garble.
+  auto torn = FaultPlan::Parse("seed=9,torn_read_p=0.3,transient=0");
+  ASSERT_TRUE(torn.ok());
+  std::vector<bool> garbled(kBlocks);
+  {
+    FaultInjectingEnv env(base, *torn);
+    auto file = env.OpenRandomAccess(path);
+    ASSERT_TRUE(file.ok());
+    for (uint32_t i = 0; i < kBlocks; ++i) {
+      ASSERT_TRUE((*file)->Read(i * kBlock, kBlock, dsts[i]).ok());
+      garbled[i] = !block_clean(i);
+    }
+  }
+  FaultInjectingEnv torn_env(base, *torn);
+  auto torn_file = torn_env.OpenRandomAccess(path);
+  ASSERT_TRUE(torn_file.ok());
+  ASSERT_TRUE((*torn_file)->ReadV(0, kBlock, dsts).ok());
+  uint32_t garbled_blocks = 0;
+  for (uint32_t i = 0; i < kBlocks; ++i) {
+    EXPECT_EQ(!block_clean(i), garbled[i]) << "block " << i;
+    garbled_blocks += garbled[i] ? 1 : 0;
+  }
+  EXPECT_GT(garbled_blocks, 1u);
+  EXPECT_EQ(torn_env.stats().injected_torn_reads.load(), garbled_blocks);
+
+  // Latency spikes: one per spiking block, not one per command.
+  auto latency =
+      FaultPlan::Parse("seed=9,latency_p=0.3,latency_us=1");
+  ASSERT_TRUE(latency.ok());
+  FaultInjectingEnv single_env(base, *latency);
+  FaultInjectingEnv run_env(base, *latency);
+  auto single_file = single_env.OpenRandomAccess(path);
+  auto run_file = run_env.OpenRandomAccess(path);
+  ASSERT_TRUE(single_file.ok() && run_file.ok());
+  for (uint32_t i = 0; i < kBlocks; ++i) {
+    ASSERT_TRUE((*single_file)->Read(i * kBlock, kBlock, dsts[i]).ok());
+  }
+  ASSERT_TRUE((*run_file)->ReadV(0, kBlock, dsts).ok());
+  EXPECT_GT(run_env.stats().injected_latency.load(), 1u);
+  EXPECT_EQ(run_env.stats().injected_latency.load(),
+            single_env.stats().injected_latency.load());
+  (void)base->DeleteFile(path);
+}
+
 // ---------------------------------------------------------------------
 // Retry path: transient faults heal inside the I/O engine
 
@@ -214,8 +318,12 @@ TEST(FaultRecovery, TransientPlanYieldsExactCountWithRetriesAndNoGiveups) {
 
   Counter* retries = Metrics().GetCounter("io.retries");
   Counter* giveups = Metrics().GetCounter("io.giveups");
+  Counter* requests = Metrics().GetCounter("io.requests");
+  Counter* pages_read = Metrics().GetCounter("io.pages_read");
   const uint64_t retries_before = retries->value();
   const uint64_t giveups_before = giveups->value();
+  const uint64_t requests_before = requests->value();
+  const uint64_t pages_before = pages_read->value();
 
   OptOptions options;
   options.m_in = std::max(store->MaxRecordPages(), store->num_pages() / 6);
@@ -232,6 +340,10 @@ TEST(FaultRecovery, TransientPlanYieldsExactCountWithRetriesAndNoGiveups) {
   EXPECT_GT(retries->value(), retries_before);
   EXPECT_EQ(giveups->value(), giveups_before);
   EXPECT_GT(fenv.stats().injected_read_errors.load(), 0u);
+  // Multi-page runs took part: their failed run reads fell back to
+  // per-page reads, and every page still healed.
+  EXPECT_LT(requests->value() - requests_before,
+            pages_read->value() - pages_before);
 }
 
 TEST(FaultRecovery, TornReadsAreCaughtByCrcAndHealedByReread) {
@@ -393,13 +505,13 @@ TEST(BufferPoolFaults, WaitValidTimesOutWhenReaderNeverPublishes) {
 
   // The timeout evicted the wedged page: a fresh fetch re-owns the read
   // rather than piling onto the dead frame.
-  pool.Unpin(waiter->frame);
-  pool.Unpin(frame);
+  pool.Unpin({&waiter->frame, 1});
+  pool.Unpin({&frame, 1});
   auto refetch = pool.Fetch(key);
   ASSERT_TRUE(refetch.ok());
   EXPECT_EQ(refetch->outcome, BufferPool::FetchOutcome::kMiss);
-  pool.MarkValid(refetch->frame);
-  pool.Unpin(refetch->frame);
+  pool.MarkValid({&refetch->frame, 1});
+  pool.Unpin({&refetch->frame, 1});
 }
 
 TEST(BufferPoolFaults, WaitValidStillReturnsPromptlyOnLatePublish) {
@@ -411,13 +523,13 @@ TEST(BufferPoolFaults, WaitValidStillReturnsPromptlyOnLatePublish) {
   Frame* frame = owned->frame;
   std::thread publisher([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    pool.MarkValid(frame);
+    pool.MarkValid({&frame, 1});
   });
   // Generous bound: the publish lands well inside it.
   const Status w = pool.WaitValid(frame, /*timeout_millis=*/5000);
   publisher.join();
   EXPECT_TRUE(w.ok()) << w.ToString();
-  pool.Unpin(frame);
+  pool.Unpin({&frame, 1});
 }
 
 TEST(BufferPoolFaults, InFlightFrameIsNotRecycledAfterWaiterTimeout) {
@@ -474,8 +586,8 @@ TEST(BufferPoolFaults, InFlightFrameIsNotRecycledAfterWaiterTimeout) {
   ASSERT_TRUE(waiter.ok());
   ASSERT_EQ(waiter->outcome, BufferPool::FetchOutcome::kInFlight);
   EXPECT_TRUE(pool.WaitValid(waiter->frame, 20).IsUnavailable());
-  pool.Unpin(waiter->frame);
-  pool.Unpin(frame);
+  pool.Unpin({&waiter->frame, 1});
+  pool.Unpin({&frame, 1});
 
   // The engine pin is now the only one left; the frame must not be
   // allocatable to another page while the read is still in flight.
@@ -494,8 +606,8 @@ TEST(BufferPoolFaults, InFlightFrameIsNotRecycledAfterWaiterTimeout) {
   auto refetch = pool.Fetch(MakePageKey(0, 1));
   ASSERT_TRUE(refetch.ok()) << refetch.status().ToString();
   EXPECT_EQ(refetch->outcome, BufferPool::FetchOutcome::kMiss);
-  pool.MarkValid(refetch->frame);
-  pool.Unpin(refetch->frame);
+  pool.MarkValid({&refetch->frame, 1});
+  pool.Unpin({&refetch->frame, 1});
 }
 
 // ---------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <vector>
 
 #include "core/iterator_model.h"
 #include "core/opt_runner.h"
@@ -86,6 +88,54 @@ TEST(DirectIoEnvTest, AlignedReadRoundtrip) {
   auto size = Env::Default()->FileSize(GraphStore::PagesPath(base));
   ASSERT_TRUE(size.ok());
   EXPECT_TRUE((*file)->Read(*size - 10, 100, misaligned.data()).IsIOError());
+}
+
+TEST(DirectIoEnvTest, VectoredReadsMatchSingleReads) {
+  // ReadV of a run must return the bytes of one Read per page: through
+  // preadv when every destination is page-aligned (pool frames), and
+  // through the staging copy when one is not. Same for the POSIX file.
+  CSRGraph g = GenerateErdosRenyi(500, 6000, 21);
+  const std::string base = testutil::ProcessTempDir() + "/direct_readv";
+  GraphStoreOptions options;
+  options.page_size = 4096;
+  ASSERT_TRUE(GraphStore::Create(g, Env::Default(), base, options).ok());
+  const std::string path = GraphStore::PagesPath(base);
+  auto size = Env::Default()->FileSize(path);
+  ASSERT_TRUE(size.ok());
+  const uint32_t pages = static_cast<uint32_t>(*size / 4096);
+  ASSERT_GE(pages, 3u);
+
+  DirectIoEnv direct(Env::Default());
+  for (Env* env : {static_cast<Env*>(&direct), Env::Default()}) {
+    auto file = env->OpenRandomAccess(path);
+    if (!file.ok() && file.status().code() == StatusCode::kNotSupported) {
+      continue;  // no O_DIRECT on this filesystem; the POSIX pass runs
+    }
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    AlignedBuffer expected(4096 * pages);
+    for (uint32_t pid = 0; pid < pages; ++pid) {
+      const uint64_t offset = uint64_t{pid} * 4096;
+      ASSERT_TRUE((*file)->Read(offset, 4096, expected.data() + offset).ok());
+    }
+    AlignedBuffer frames(4096 * pages);
+    std::vector<char> unaligned(4096 * pages + 1);
+    std::vector<char*> aligned_dsts, unaligned_dsts;
+    for (uint32_t i = 0; i + 1 < pages; ++i) {  // pages 1 .. pages-1
+      aligned_dsts.push_back(frames.data() + i * 4096);
+      unaligned_dsts.push_back(unaligned.data() + 1 + i * 4096);
+    }
+    ASSERT_TRUE((*file)->ReadV(4096, 4096, aligned_dsts).ok());
+    ASSERT_TRUE((*file)->ReadV(4096, 4096, unaligned_dsts).ok());
+    const size_t run_bytes = aligned_dsts.size() * 4096;
+    EXPECT_EQ(std::memcmp(frames.data(), expected.data() + 4096, run_bytes),
+              0);
+    EXPECT_EQ(
+        std::memcmp(unaligned.data() + 1, expected.data() + 4096, run_bytes),
+        0);
+    // A run past the end of the file fails.
+    EXPECT_FALSE(
+        (*file)->ReadV(uint64_t{pages - 1} * 4096, 4096, aligned_dsts).ok());
+  }
 }
 
 TEST(DirectIoEnvTest, FullOptRunThroughDirectIo) {

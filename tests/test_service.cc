@@ -504,18 +504,18 @@ TEST(SharedPool, PageKeysAreNamespacedByOwner) {
   auto a = pool.Fetch(MakePageKey(1, 7));
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a->outcome, BufferPool::FetchOutcome::kMiss);
-  pool.MarkValid(a->frame);
+  pool.MarkValid({&a->frame, 1});
   // Same pid under a different owner is a distinct page.
   auto b = pool.Fetch(MakePageKey(2, 7));
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b->outcome, BufferPool::FetchOutcome::kMiss);
-  pool.MarkValid(b->frame);
+  pool.MarkValid({&b->frame, 1});
   auto again = pool.Fetch(MakePageKey(1, 7));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->outcome, BufferPool::FetchOutcome::kHit);
-  pool.Unpin(a->frame);
-  pool.Unpin(b->frame);
-  pool.Unpin(again->frame);
+  pool.Unpin({&a->frame, 1});
+  pool.Unpin({&b->frame, 1});
+  pool.Unpin({&again->frame, 1});
 }
 
 TEST(SharedPool, WaitValidWakesOnMarkFailed) {
@@ -528,13 +528,13 @@ TEST(SharedPool, WaitValidWakesOnMarkFailed) {
   ASSERT_EQ(waiter->outcome, BufferPool::FetchOutcome::kInFlight);
   std::thread failer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    pool.MarkFailed(miss->frame);
+    pool.MarkFailed({&miss->frame, 1});
   });
   const Status s = pool.WaitValid(waiter->frame);
   EXPECT_FALSE(s.ok());
   failer.join();
-  pool.Unpin(miss->frame);
-  pool.Unpin(waiter->frame);
+  pool.Unpin({&miss->frame, 1});
+  pool.Unpin({&waiter->frame, 1});
 }
 
 TEST(SharedPool, DropOwnerEvictsOnlyThatOwner) {
@@ -542,34 +542,34 @@ TEST(SharedPool, DropOwnerEvictsOnlyThatOwner) {
   for (uint32_t pid = 0; pid < 3; ++pid) {
     auto r = pool.Fetch(MakePageKey(1, pid));
     ASSERT_TRUE(r.ok());
-    pool.MarkValid(r->frame);
-    pool.Unpin(r->frame);
+    pool.MarkValid({&r->frame, 1});
+    pool.Unpin({&r->frame, 1});
     r = pool.Fetch(MakePageKey(2, pid));
     ASSERT_TRUE(r.ok());
-    pool.MarkValid(r->frame);
-    pool.Unpin(r->frame);
+    pool.MarkValid({&r->frame, 1});
+    pool.Unpin({&r->frame, 1});
   }
   pool.DropOwner(1);
   auto gone = pool.Fetch(MakePageKey(1, 0));
   ASSERT_TRUE(gone.ok());
   EXPECT_EQ(gone->outcome, BufferPool::FetchOutcome::kMiss);
-  pool.MarkValid(gone->frame);
-  pool.Unpin(gone->frame);
+  pool.MarkValid({&gone->frame, 1});
+  pool.Unpin({&gone->frame, 1});
   auto kept = pool.Fetch(MakePageKey(2, 0));
   ASSERT_TRUE(kept.ok());
   EXPECT_EQ(kept->outcome, BufferPool::FetchOutcome::kHit);
-  pool.Unpin(kept->frame);
+  pool.Unpin({&kept->frame, 1});
 }
 
 TEST(SharedPool, StatsSnapshotAndReset) {
   BufferPool pool(64, 4);
   auto r = pool.Fetch(MakePageKey(1, 0));
   ASSERT_TRUE(r.ok());
-  pool.MarkValid(r->frame);
-  pool.Unpin(r->frame);
+  pool.MarkValid({&r->frame, 1});
+  pool.Unpin({&r->frame, 1});
   auto hit = pool.Fetch(MakePageKey(1, 0));
   ASSERT_TRUE(hit.ok());
-  pool.Unpin(hit->frame);
+  pool.Unpin({&hit->frame, 1});
   const PoolStatsSnapshot before = pool.stats().Snapshot();
   EXPECT_EQ(before.lookups, 2u);
   EXPECT_EQ(before.hits, 1u);

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "gen/erdos_renyi.h"
@@ -14,6 +17,7 @@
 #include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 #include "storage/env.h"
+#include "storage/fault_env.h"
 #include "storage/graph_store.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
@@ -204,7 +208,7 @@ TEST_F(AsyncIoTest, CallbackCanChainSubmissions) {
     Frame* f = frame->frame;
     req.callback = [&, f](const Status& s) {
       EXPECT_TRUE(s.ok()) << s.ToString();
-      pool.Unpin(f);
+      pool.Unpin({&f, 1});
       completed.fetch_add(1);
       const uint32_t n = next.fetch_add(1);
       if (n < 8) {
@@ -251,6 +255,186 @@ TEST_F(AsyncIoTest, ReportsReadErrors) {
   }
   EXPECT_TRUE(seen.IsIOError());
   EXPECT_EQ(engine.stats().read_errors.load(), 1u);
+}
+
+// ---- Multi-page requests: one device read per run ----
+
+constexpr uint32_t kRunPageSize = 256;
+
+/// Writes `count` valid page images (page i holds vertex i with the one
+/// neighbour i + 1) to a fresh file and returns its path.
+std::string WriteValidPages(const std::string& name, uint32_t count) {
+  const std::string path = testutil::ProcessTempDir() + "/" + name;
+  auto writer = PageFileWriter::Create(Env::Default(), path, kRunPageSize);
+  EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+  std::vector<char> page(kRunPageSize);
+  for (uint32_t pid = 0; pid < count; ++pid) {
+    std::fill(page.begin(), page.end(), 0);
+    PageBuilder builder(page.data(), kRunPageSize, pid);
+    const VertexId neighbour = pid + 1;
+    builder.AddSegment(pid, 1, 0, std::span<const VertexId>(&neighbour, 1));
+    builder.Finish();
+    EXPECT_TRUE((*writer)->Append(page.data()).ok());
+  }
+  EXPECT_TRUE((*writer)->Finish().ok());
+  return path;
+}
+
+/// Submits pages [first, first + count) as one validated, pool-backed
+/// request, drains it, and drops the test's pins. Returns the status the
+/// callback saw.
+Status ReadRunThroughPool(AsyncIoEngine* engine, BufferPool* pool,
+                          PageFile* file, uint32_t first, uint32_t count) {
+  CompletionQueue queue;
+  ReadRequest req;
+  req.file = file;
+  req.first_pid = first;
+  req.page_count = count;
+  for (uint32_t pid = first; pid < first + count; ++pid) {
+    auto fetch = pool->Fetch(pid);
+    EXPECT_TRUE(fetch.ok() &&
+                fetch->outcome == BufferPool::FetchOutcome::kMiss);
+    req.frames.push_back(fetch->frame);
+  }
+  const std::vector<Frame*> frames = req.frames;
+  req.completion_queue = &queue;
+  req.pool = pool;
+  req.validate = true;
+  Status seen = Status::Internal("callback never ran");
+  bool ran = false;
+  req.callback = [&](const Status& s) {
+    seen = s;
+    ran = true;
+  };
+  engine->Submit(std::move(req));
+  while (!ran) {
+    if (auto task = queue.PopFor(1000000)) (*task)();
+  }
+  pool->Unpin(frames);
+  return seen;
+}
+
+/// How a later Fetch sees `pid`: kHit once published valid, kMiss once
+/// published failed (the page left the table). Resolves and unpins.
+BufferPool::FetchOutcome Published(BufferPool* pool, uint32_t pid) {
+  auto fetch = pool->Fetch(pid);
+  EXPECT_TRUE(fetch.ok());
+  if (fetch->outcome == BufferPool::FetchOutcome::kMiss) {
+    pool->MarkFailed({&fetch->frame, 1});
+  }
+  pool->Unpin({&fetch->frame, 1});
+  return fetch->outcome;
+}
+
+/// The pages of [0, count) that `plan` tears, from one single-page read
+/// each through a fresh env: decisions depend only on plan, path and
+/// offset, so a second env with the same plan tears the same pages.
+std::vector<uint32_t> TornPages(const FaultPlan& plan,
+                                const std::string& path, uint32_t count) {
+  FaultInjectingEnv env(Env::Default(), plan);
+  auto file = PageFile::Open(&env, path, kRunPageSize);
+  EXPECT_TRUE(file.ok());
+  std::vector<char> page(kRunPageSize);
+  std::vector<uint32_t> torn;
+  for (uint32_t pid = 0; pid < count; ++pid) {
+    EXPECT_TRUE((*file)->ReadPage(pid, page.data()).ok());
+    if (!PageView(page.data(), kRunPageSize).Validate(pid).ok()) {
+      torn.push_back(pid);
+    }
+  }
+  return torn;
+}
+
+/// The first seeded plan ("seed=N,torn_read_p=0.25,transient=T") that
+/// tears exactly page 2 of pages 0..4: an inner page of a 5-page run.
+FaultPlan PlanTearingOnlyPage2(const std::string& path, uint32_t transient) {
+  for (uint64_t seed = 1; seed < 1000; ++seed) {
+    auto plan = FaultPlan::Parse("seed=" + std::to_string(seed) +
+                                 ",torn_read_p=0.25,transient=" +
+                                 std::to_string(transient));
+    EXPECT_TRUE(plan.ok());
+    if (TornPages(*plan, path, 5) == std::vector<uint32_t>{2}) return *plan;
+  }
+  ADD_FAILURE() << "no seed tears exactly page 2";
+  return FaultPlan();
+}
+
+TEST_F(AsyncIoTest, MultiPageRequestIsOneDeviceReadAndValidatesEveryPage) {
+  const std::string path = WriteValidPages("run_one_read.pages", 8);
+  ThrottledEnv throttled(Env::Default(), 0);
+  auto file = PageFile::Open(&throttled, path, kRunPageSize);
+  ASSERT_TRUE(file.ok());
+  throttled.stats().Reset();
+  AsyncIoEngine engine(1);
+  BufferPool pool(kRunPageSize, 8);
+  const Status s = ReadRunThroughPool(&engine, &pool, file->get(), 3, 5);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(throttled.stats().reads.load(), 1u);
+  EXPECT_EQ(throttled.stats().read_bytes.load(), 5u * kRunPageSize);
+  EXPECT_EQ(engine.stats().requests.load(), 1u);
+  EXPECT_EQ(engine.stats().pages_read.load(), 5u);
+  EXPECT_EQ(engine.stats().retries.load(), 0u);
+  for (uint32_t pid = 3; pid < 8; ++pid) {
+    auto fetch = pool.Fetch(pid);
+    ASSERT_TRUE(fetch.ok());
+    EXPECT_EQ(fetch->outcome, BufferPool::FetchOutcome::kHit);
+    EXPECT_TRUE(PageView(fetch->frame->data, kRunPageSize).Validate(pid).ok());
+    pool.Unpin({&fetch->frame, 1});
+  }
+  (void)env_->DeleteFile(path);
+}
+
+TEST_F(AsyncIoTest, TornInnerPageIsRereadAlone) {
+  const std::string path = WriteValidPages("run_torn_once.pages", 5);
+  const FaultPlan plan = PlanTearingOnlyPage2(path, /*transient=*/1);
+  ThrottledEnv throttled(Env::Default(), 0);
+  FaultInjectingEnv fenv(&throttled, plan);
+  auto file = PageFile::Open(&fenv, path, kRunPageSize);
+  ASSERT_TRUE(file.ok());
+  AsyncIoEngine engine(1);
+  BufferPool pool(kRunPageSize, 8);
+  const Status s = ReadRunThroughPool(&engine, &pool, file->get(), 0, 5);
+  EXPECT_TRUE(s.ok()) << s.ToString() << " under " << plan.ToString();
+  // The run's read, then page 2 alone; its reread is the page's first
+  // attempt, so nothing counts as a retry.
+  EXPECT_EQ(throttled.stats().reads.load(), 2u);
+  EXPECT_EQ(fenv.stats().injected_torn_reads.load(), 1u);
+  EXPECT_EQ(engine.stats().retries.load(), 0u);
+  EXPECT_EQ(engine.stats().pages_read.load(), 5u);
+  for (uint32_t pid = 0; pid < 5; ++pid) {
+    EXPECT_EQ(Published(&pool, pid), BufferPool::FetchOutcome::kHit)
+        << "page " << pid;
+  }
+  (void)env_->DeleteFile(path);
+}
+
+TEST_F(AsyncIoTest, CorruptInnerPageFailsItAndTheRestOfTheRun) {
+  const std::string path = WriteValidPages("run_torn_always.pages", 5);
+  const FaultPlan plan = PlanTearingOnlyPage2(path, /*transient=*/0);
+  ThrottledEnv throttled(Env::Default(), 0);
+  FaultInjectingEnv fenv(&throttled, plan);
+  auto file = PageFile::Open(&fenv, path, kRunPageSize);
+  ASSERT_TRUE(file.ok());
+  IoRetryPolicy retry;
+  retry.max_attempts = 2;
+  retry.backoff_base_micros = 20;
+  AsyncIoEngine engine(1, retry);
+  BufferPool pool(kRunPageSize, 8);
+  const Status s = ReadRunThroughPool(&engine, &pool, file->get(), 0, 5);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString() << " under "
+                                << plan.ToString();
+  // The run's read, then page 2's two attempts; pages 3-4 are never
+  // reread once page 2 gives up.
+  EXPECT_EQ(throttled.stats().reads.load(), 3u);
+  EXPECT_EQ(engine.stats().pages_read.load(), 2u);
+  EXPECT_EQ(engine.stats().giveups.load(), 1u);
+  for (uint32_t pid = 0; pid < 5; ++pid) {
+    EXPECT_EQ(Published(&pool, pid), pid < 2
+                                         ? BufferPool::FetchOutcome::kHit
+                                         : BufferPool::FetchOutcome::kMiss)
+        << "page " << pid;
+  }
+  (void)env_->DeleteFile(path);
 }
 
 TEST(GraphStoreWriterTest, GapsBecomeEmptyRecords) {

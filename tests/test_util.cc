@@ -427,6 +427,34 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc, one_shot);
 }
 
+TEST(Crc32Test, HardwareMatchesPortableOnRandomBuffers) {
+  // The SSE4.2 path must agree with slicing-by-8 (the oracle) at every
+  // length, start alignment and chaining split.
+  if (!Crc32cHardwareSupported()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  constexpr size_t kMaxLen = 9000;
+  Random64 rng(0xC3C32);
+  std::vector<unsigned char> buf(kMaxLen + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (size_t align = 0; align < 8; ++align) {
+    const unsigned char* p = buf.data() + align;
+    for (size_t n = 0; n <= kMaxLen; ++n) {
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32cHardware(seed, p, n), Crc32cPortable(seed, p, n))
+          << "n=" << n << " align=" << align;
+    }
+  }
+  for (int trial = 0; trial < 1000; ++trial) {
+    const size_t n = rng.Uniform(kMaxLen + 1);
+    const size_t split = rng.Uniform(n + 1);
+    const unsigned char* p = buf.data() + rng.Uniform(8);
+    const uint32_t chained =
+        Crc32cHardware(Crc32cHardware(0, p, split), p + split, n - split);
+    ASSERT_EQ(chained, Crc32cPortable(0, p, n))
+        << "n=" << n << " split=" << split;
+  }
+  EXPECT_EQ(Crc32cHardware(0, "123456789", 9), 0xE3069283u);
+}
+
 TEST(TablePrinterTest, AlignsColumns) {
   TablePrinter t({"name", "value"});
   t.AddRow({"a", "1"});
