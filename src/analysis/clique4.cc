@@ -35,24 +35,4 @@ uint64_t Count4Cliques(const CSRGraph& g, uint32_t num_threads) {
   return total.load();
 }
 
-void List4Cliques(const CSRGraph& g,
-                  const std::function<void(VertexId, VertexId, VertexId,
-                                           VertexId)>& fn) {
-  std::vector<VertexId> common;
-  std::vector<VertexId> pairs;
-  for (VertexId a = 0; a < g.num_vertices(); ++a) {
-    const auto succ_a = g.Successors(a);
-    for (VertexId b : succ_a) {
-      common.clear();
-      Intersect(succ_a, g.Successors(b), &common);
-      for (size_t i = 0; i < common.size(); ++i) {
-        pairs.clear();
-        Intersect(std::span<const VertexId>(common).subspan(i + 1),
-                  g.Successors(common[i]), &pairs);
-        for (VertexId d : pairs) fn(a, b, common[i], d);
-      }
-    }
-  }
-}
-
 }  // namespace opt

@@ -7,7 +7,6 @@
 #define OPT_ANALYSIS_CLIQUE4_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "graph/csr_graph.h"
 
@@ -15,11 +14,6 @@ namespace opt {
 
 /// Exact 4-clique count.
 uint64_t Count4Cliques(const CSRGraph& g, uint32_t num_threads = 1);
-
-/// Lists every 4-clique (a < b < c < d) through `fn`. Single-threaded.
-void List4Cliques(const CSRGraph& g,
-                  const std::function<void(VertexId, VertexId, VertexId,
-                                           VertexId)>& fn);
 
 }  // namespace opt
 

@@ -1,6 +1,5 @@
 #include "baselines/inmemory.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "graph/intersect.h"
@@ -41,26 +40,6 @@ void VertexIteratorInMemory(const CSRGraph& g, TriangleSink* sink,
       if (!ws.empty()) sink->Emit(u, v, ws);
     }
   });
-}
-
-void CompactForwardInMemory(const CSRGraph& g, TriangleSink* sink) {
-  const VertexId n = g.num_vertices();
-  // A(v): lower-id neighbors of v already visited by the outer loop,
-  // in ascending order (appended in outer-loop order).
-  std::vector<std::vector<VertexId>> a_lists(n);
-  std::vector<VertexId> common;
-  for (VertexId s = 0; s < n; ++s) {
-    for (VertexId t : g.Successors(s)) {
-      common.clear();
-      IntersectMerge(a_lists[s], a_lists[t], &common);
-      for (VertexId w : common) {
-        // w < s < t: canonical orientation.
-        const VertexId tail[1] = {t};
-        sink->Emit(w, s, tail);
-      }
-      a_lists[t].push_back(s);
-    }
-  }
 }
 
 uint64_t BruteForceTriangleCount(const CSRGraph& g) {

@@ -21,13 +21,6 @@ void EdgeIteratorInMemory(const CSRGraph& g, TriangleSink* sink,
 void VertexIteratorInMemory(const CSRGraph& g, TriangleSink* sink,
                             uint32_t num_threads = 1);
 
-/// Latapy's compact-forward algorithm ([24] in the paper): processes
-/// vertices in id order, maintaining for each vertex the list A(v) of
-/// already-processed lower-id neighbors; triangles fall out of
-/// A(s) ∩ A(t) for each forward edge (s, t). Same O(α|E|) bound as the
-/// ordered edge-iterator, with better locality on some inputs.
-void CompactForwardInMemory(const CSRGraph& g, TriangleSink* sink);
-
 /// Brute force over all vertex triples (tests only; O(n^3) on dense
 /// bitsets, tolerable for n up to a few thousand).
 uint64_t BruteForceTriangleCount(const CSRGraph& g);

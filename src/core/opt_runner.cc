@@ -533,6 +533,9 @@ void SubmitChunk(RunContext* ctx, Chunk chunk) {
         std::lock_guard<std::mutex> lock(ctx->later_mutex);
         ctx->ext_used -= chunk.page_count;
       }
+      // The run is aborted now: drop the chunks still queued, since no
+      // other chunk may be in flight to do it when it completes.
+      PumpExternal(ctx);
       ctx->group_ex.Done();
       return;
     }

@@ -643,31 +643,6 @@ uint64_t IntersectCountGallopingWith(IntersectKernel kernel,
 }
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels.
-// ---------------------------------------------------------------------------
-
-size_t IntersectMerge(std::span<const VertexId> a, std::span<const VertexId> b,
-                      std::vector<VertexId>* out) {
-  return IntersectMergeWith(IntersectKernel::kScalar, a, b, out);
-}
-
-size_t IntersectGalloping(std::span<const VertexId> a,
-                          std::span<const VertexId> b,
-                          std::vector<VertexId>* out) {
-  return IntersectGallopingWith(IntersectKernel::kScalar, a, b, out);
-}
-
-uint64_t IntersectCountMerge(std::span<const VertexId> a,
-                             std::span<const VertexId> b) {
-  return IntersectCountMergeWith(IntersectKernel::kScalar, a, b);
-}
-
-uint64_t IntersectCountGalloping(std::span<const VertexId> a,
-                                 std::span<const VertexId> b) {
-  return IntersectCountGallopingWith(IntersectKernel::kScalar, a, b);
-}
-
-// ---------------------------------------------------------------------------
 // Bitmap kernels.
 // ---------------------------------------------------------------------------
 

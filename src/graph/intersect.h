@@ -173,27 +173,6 @@ uint64_t IntersectCountGallopingWith(IntersectKernel kernel,
                                      std::span<const VertexId> b);
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels (the portable fallback of the dispatch
-// table; also the oracle side of the fuzz tests).
-// ---------------------------------------------------------------------------
-
-/// Appends a ∩ b (both sorted ascending) to *out. Returns count added.
-size_t IntersectMerge(std::span<const VertexId> a, std::span<const VertexId> b,
-                      std::vector<VertexId>* out);
-
-/// Galloping intersection: binary-searches the larger list for each
-/// element of the smaller one. Wins when |a| << |b|.
-size_t IntersectGalloping(std::span<const VertexId> a,
-                          std::span<const VertexId> b,
-                          std::vector<VertexId>* out);
-
-/// Count-only variants (no output materialization) for counting sinks.
-uint64_t IntersectCountMerge(std::span<const VertexId> a,
-                             std::span<const VertexId> b);
-uint64_t IntersectCountGalloping(std::span<const VertexId> a,
-                                 std::span<const VertexId> b);
-
-// ---------------------------------------------------------------------------
 // Bitmap kernels (the DODG hub path). A DenseBitmap materializes a
 // sorted id list as one bit per id over a fixed universe; intersections
 // against it are bit tests (sparse probe) or word-wise AND + popcount

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <thread>
 
 namespace opt {
 
 namespace {
+
+/// Slot::seq while a writer owns the slot.
+constexpr uint64_t kWriting = ~0ull;
 
 size_t RoundUpPow2(size_t n) {
   size_t p = 8;
@@ -60,14 +64,26 @@ uint64_t FlightRecorder::NowMicros() const {
 void FlightRecorder::Record(FlightEventType type, uint64_t a, uint64_t b) {
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & (capacity_ - 1)];
-  // Invalidate first so a concurrent reader never sees a half-written
-  // payload under a stale-but-plausible sequence number.
-  slot.seq.store(0, std::memory_order_release);
+  // Claim the slot: a writer that laps a slow one must not mix payloads
+  // with it under a sequence number a reader accepts. An event older
+  // than the slot's occupant has already left the ring.
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  do {
+    while (seq == kWriting) {
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+    }
+    if (seq > ticket + 1) return;
+  } while (!slot.seq.compare_exchange_weak(seq, kWriting,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed));
+  // Release payload stores pair with the reader's acquire loads: a
+  // reader that sees any of them also sees the claim in its re-check.
   slot.t_and_type.store(
       (NowMicros() << 8) | static_cast<uint64_t>(type),
-      std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
+      std::memory_order_release);
+  slot.a.store(a, std::memory_order_release);
+  slot.b.store(b, std::memory_order_release);
   slot.seq.store(ticket + 1, std::memory_order_release);
 }
 
@@ -83,11 +99,11 @@ std::vector<FlightEvent> FlightRecorder::Tail(size_t max_events) const {
     const uint64_t seq = slot.seq.load(std::memory_order_acquire);
     if (seq != ticket + 1) continue;  // overwritten or mid-write
     FlightEvent event;
-    const uint64_t tt = slot.t_and_type.load(std::memory_order_relaxed);
-    event.a = slot.a.load(std::memory_order_relaxed);
-    event.b = slot.b.load(std::memory_order_relaxed);
+    const uint64_t tt = slot.t_and_type.load(std::memory_order_acquire);
+    event.a = slot.a.load(std::memory_order_acquire);
+    event.b = slot.b.load(std::memory_order_acquire);
     // Re-check: if a writer lapped us mid-read the payload may be torn.
-    if (slot.seq.load(std::memory_order_acquire) != ticket + 1) continue;
+    if (slot.seq.load(std::memory_order_relaxed) != ticket + 1) continue;
     event.t_micros = tt >> 8;
     event.type = static_cast<FlightEventType>(tt & 0xFF);
     out.push_back(event);

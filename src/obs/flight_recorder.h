@@ -1,15 +1,16 @@
-// Per-query flight recorder: a fixed-capacity lock-free ring of small
-// structured events (fetch outcomes, retries, morphs, degradation,
-// cancellation). Writers are the query's worker threads and the async
-// I/O workers; they only ever pay two atomic stores per event, so the
+// Per-query flight recorder: a fixed-capacity ring of small structured
+// events (fetch outcomes, retries, morphs, degradation, cancellation).
+// Writers are the query's worker threads and the async I/O workers; an
+// event costs a ticket increment, a slot claim and four stores, so the
 // recorder is cheap enough to leave on for every query. The ring holds
 // the *last* `capacity` events — exactly the tail a postmortem needs
 // when a query comes back degraded.
 //
 // The reader (Tail) runs after the fact, or concurrently for a live
-// dump: each slot carries a sequence word that is zeroed before the
-// payload is overwritten and set to the (ticket+1) afterwards, so a
-// reader can detect a slot that changed under it and skip it instead of
+// dump: each slot carries a sequence word that a writer claims before
+// overwriting the payload (waiting only for a writer a whole ring behind
+// it on the same slot) and sets to (ticket+1) afterwards, so a reader
+// can detect a slot that changed under it and skip it instead of
 // reporting a torn event.
 #ifndef OPT_OBS_FLIGHT_RECORDER_H_
 #define OPT_OBS_FLIGHT_RECORDER_H_
@@ -91,7 +92,7 @@ class FlightRecorder {
 
  private:
   struct Slot {
-    /// 0 = empty/being-written; otherwise ticket+1 of the occupant.
+    /// 0 = empty, ~0 = being written, else ticket+1 of the occupant.
     std::atomic<uint64_t> seq{0};
     std::atomic<uint64_t> t_and_type{0};  // (t_micros << 8) | type
     std::atomic<uint64_t> a{0};

@@ -213,15 +213,8 @@ Result<ListEnd> OptClient::List(
 }
 
 Result<std::string> OptClient::Stats() {
-  OPT_RETURN_IF_ERROR(SendRequest(MessageType::kStatsRequest, {}));
-  WireMessage reply;
-  OPT_RETURN_IF_ERROR(ReadReply(&reply));
-  if (reply.type == MessageType::kError) return ErrorFromReply(reply);
-  if (reply.type != MessageType::kStatsResult) return UnexpectedReply(reply);
-  PayloadReader reader(reply.payload);
-  std::string text;
-  OPT_RETURN_IF_ERROR(reader.GetString(&text));
-  return text;
+  OPT_ASSIGN_OR_RETURN(StatsResult stats, StatsFull());
+  return std::move(stats.text);
 }
 
 Result<StatsResult> OptClient::StatsFull() {

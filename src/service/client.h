@@ -58,13 +58,11 @@ class OptClient {
       const std::function<void(const ListBatch&)>& on_batch,
       const ClientQueryOptions& options = {});
 
-  /// STATS: newline-separated key=value text (legacy view; ignores the
-  /// structured registry fields newer servers append).
+  /// STATS: just the newline-separated key=value text.
   Result<std::string> Stats();
 
   /// STATS with the structured registry fields: histogram quantiles and
-  /// counters. Against a pre-registry server the vectors come back empty
-  /// and `text` is the whole answer.
+  /// counters.
   Result<StatsResult> StatsFull();
 
   Status LoadGraph(const std::string& name, const std::string& base_path);
@@ -96,8 +94,7 @@ class OptClient {
 
   /// TRACE_PULL: drains (or, with drain=false, peeks) the peer's
   /// bounded span ring. Against a router the reply carries the router's
-  /// section plus one per shard, ready for AssembleTrace(). Servers
-  /// predating the op answer NotSupported.
+  /// section plus one per shard, ready for AssembleTrace().
   Result<TracePullResult> TracePull(bool drain = true);
 
   /// Flight-recorder tail from the most recent server ERROR reply on

@@ -79,8 +79,8 @@ class OptServer {
   void AppendProfileLine(const ProfileResult& profile,
                          const std::string& graph);
   std::string RenderStats() const;
-  /// Legacy text plus the live metrics registry (histogram quantiles and
-  /// counters) for the extended STATS reply.
+  /// The STATS reply: RenderStats() text plus the live metrics registry
+  /// (histogram quantiles and counters).
   StatsResult BuildStats() const;
 
   QueryScheduler* const scheduler_;

@@ -131,6 +131,12 @@ Status PayloadReader::GetCount(size_t min_bytes_per_item, uint32_t* count) {
   return Status::OK();
 }
 
+Status PayloadReader::Finish() const {
+  if (remaining() == 0) return Status::OK();
+  return Status::Corruption(std::to_string(remaining()) +
+                            " payload bytes past the last field");
+}
+
 std::string EncodeQueryRequest(const QueryRequest& request) {
   std::string payload;
   PutString(&payload, request.graph);
@@ -148,12 +154,9 @@ Status DecodeQueryRequest(std::string_view payload, QueryRequest* out) {
   OPT_RETURN_IF_ERROR(reader.GetU32(&out->memory_pages));
   OPT_RETURN_IF_ERROR(reader.GetU32(&out->num_threads));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->deadline_millis));
-  // Pre-tracing frames end here and decode as untraced.
-  out->trace_id = 0;
-  out->parent_span_id = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->trace_id));
-  return reader.GetU64(&out->parent_span_id);
+  OPT_RETURN_IF_ERROR(reader.GetU64(&out->parent_span_id));
+  return reader.Finish();
 }
 
 std::string EncodeCountResult(const CountResult& result) {
@@ -177,12 +180,9 @@ Status DecodeCountResult(std::string_view payload, CountResult* out) {
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->pool_hits));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->pages_read));
   OPT_RETURN_IF_ERROR(reader.GetU32(&out->iterations));
-  // Pre-router frames end here; the sharding tail decodes as "complete".
-  out->partial_shards = 0;
-  out->num_shards = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->partial_shards));
-  return reader.GetU32(&out->num_shards);
+  OPT_RETURN_IF_ERROR(reader.GetU32(&out->num_shards));
+  return reader.Finish();
 }
 
 std::string EncodeLoadGraphRequest(const LoadGraphRequest& request) {
@@ -196,7 +196,8 @@ Status DecodeLoadGraphRequest(std::string_view payload,
                               LoadGraphRequest* out) {
   PayloadReader reader(payload);
   OPT_RETURN_IF_ERROR(reader.GetString(&out->name));
-  return reader.GetString(&out->base_path);
+  OPT_RETURN_IF_ERROR(reader.GetString(&out->base_path));
+  return reader.Finish();
 }
 
 std::string EncodeMutateRequest(const MutateRequest& request) {
@@ -229,11 +230,9 @@ Status DecodeMutateRequest(std::string_view payload, MutateRequest* out) {
     OPT_RETURN_IF_ERROR(reader.GetU32(&v));
     out->edges.emplace_back(u, v);
   }
-  out->trace_id = 0;
-  out->parent_span_id = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->trace_id));
-  return reader.GetU64(&out->parent_span_id);
+  OPT_RETURN_IF_ERROR(reader.GetU64(&out->parent_span_id));
+  return reader.Finish();
 }
 
 std::string EncodeMutateResult(const MutateResult& result) {
@@ -262,11 +261,9 @@ Status DecodeMutateResult(std::string_view payload, MutateResult* out) {
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->seconds));
   OPT_RETURN_IF_ERROR(reader.GetU8(&out->approx_valid));
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->approx_triangles));
-  out->partial_shards = 0;
-  out->num_shards = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->partial_shards));
-  return reader.GetU32(&out->num_shards);
+  OPT_RETURN_IF_ERROR(reader.GetU32(&out->num_shards));
+  return reader.Finish();
 }
 
 std::string EncodeSubscribeCountRequest(
@@ -286,11 +283,9 @@ Status DecodeSubscribeCountRequest(std::string_view payload,
   OPT_RETURN_IF_ERROR(reader.GetString(&out->graph));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->after_epoch));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->timeout_millis));
-  out->trace_id = 0;
-  out->parent_span_id = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->trace_id));
-  return reader.GetU64(&out->parent_span_id);
+  OPT_RETURN_IF_ERROR(reader.GetU64(&out->parent_span_id));
+  return reader.Finish();
 }
 
 std::string EncodeSubscribeCountResult(const SubscribeCountResult& result) {
@@ -323,15 +318,9 @@ Status DecodeSubscribeCountResult(std::string_view payload,
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->edges_removed));
   OPT_RETURN_IF_ERROR(reader.GetU8(&out->approx_valid));
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->approx_triangles));
-  out->partial_shards = 0;
-  out->num_shards = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->partial_shards));
-  return reader.GetU32(&out->num_shards);
-}
-
-std::string EncodeError(const Status& status) {
-  return EncodeError(status, {});
+  OPT_RETURN_IF_ERROR(reader.GetU32(&out->num_shards));
+  return reader.Finish();
 }
 
 std::string EncodeError(const Status& status,
@@ -355,13 +344,9 @@ Status DecodeError(std::string_view payload, ErrorResult* out) {
   PayloadReader reader(payload);
   OPT_RETURN_IF_ERROR(reader.GetU32(&out->code));
   OPT_RETURN_IF_ERROR(reader.GetString(&out->message));
-  out->events.clear();
-  out->trace_id = 0;
-  // A payload ending here came from a server predating the flight
-  // recorder — code + message are the whole answer.
-  if (reader.AtEnd()) return Status::OK();
   uint32_t num_events;
   OPT_RETURN_IF_ERROR(reader.GetCount(25, &num_events));
+  out->events.clear();
   out->events.reserve(num_events);
   for (uint32_t i = 0; i < num_events; ++i) {
     FlightEvent event;
@@ -373,10 +358,8 @@ Status DecodeError(std::string_view payload, ErrorResult* out) {
     OPT_RETURN_IF_ERROR(reader.GetU64(&event.b));
     out->events.push_back(event);
   }
-  // Pre-tracing servers end after the flight events.
-  out->trace_id = 0;
-  if (reader.AtEnd()) return Status::OK();
-  return reader.GetU64(&out->trace_id);
+  OPT_RETURN_IF_ERROR(reader.GetU64(&out->trace_id));
+  return reader.Finish();
 }
 
 std::string EncodeProfileResult(const ProfileResult& result) {
@@ -436,7 +419,8 @@ Status DecodeProfileResult(std::string_view payload, ProfileResult* out) {
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->cost_ideal_seconds));
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->cost_predicted_seconds));
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->cost_measured_seconds));
-  return reader.GetDouble(&out->cost_residual_seconds);
+  OPT_RETURN_IF_ERROR(reader.GetDouble(&out->cost_residual_seconds));
+  return reader.Finish();
 }
 
 std::string EncodeListBatch(const ListBatch& batch) {
@@ -471,7 +455,7 @@ Status DecodeListBatch(std::string_view payload, ListBatch* out) {
     }
     out->records.push_back(std::move(record));
   }
-  return Status::OK();
+  return reader.Finish();
 }
 
 std::string EncodeListEnd(const ListEnd& end) {
@@ -487,11 +471,9 @@ Status DecodeListEnd(std::string_view payload, ListEnd* out) {
   PayloadReader reader(payload);
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->triangles));
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->seconds));
-  out->partial_shards = 0;
-  out->num_shards = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->partial_shards));
-  return reader.GetU32(&out->num_shards);
+  OPT_RETURN_IF_ERROR(reader.GetU32(&out->num_shards));
+  return reader.Finish();
 }
 
 std::string EncodeStatsResult(const StatsResult& stats) {
@@ -519,14 +501,10 @@ std::string EncodeStatsResult(const StatsResult& stats) {
 Status DecodeStatsResult(std::string_view payload, StatsResult* out) {
   PayloadReader reader(payload);
   OPT_RETURN_IF_ERROR(reader.GetString(&out->text));
-  out->histograms.clear();
-  out->counters.clear();
-  // A payload ending here came from a server predating the structured
-  // registry fields — the text is the whole answer.
-  if (reader.AtEnd()) return Status::OK();
   uint32_t num_histograms;
   // A histogram is a length-prefixed name plus seven 8-byte fields.
   OPT_RETURN_IF_ERROR(reader.GetCount(60, &num_histograms));
+  out->histograms.clear();
   out->histograms.reserve(num_histograms);
   for (uint32_t i = 0; i < num_histograms; ++i) {
     StatsHistogram histogram;
@@ -542,6 +520,7 @@ Status DecodeStatsResult(std::string_view payload, StatsResult* out) {
   }
   uint32_t num_counters;
   OPT_RETURN_IF_ERROR(reader.GetCount(12, &num_counters));
+  out->counters.clear();
   out->counters.reserve(num_counters);
   for (uint32_t i = 0; i < num_counters; ++i) {
     StatsCounter counter;
@@ -549,7 +528,7 @@ Status DecodeStatsResult(std::string_view payload, StatsResult* out) {
     OPT_RETURN_IF_ERROR(reader.GetU64(&counter.value));
     out->counters.push_back(std::move(counter));
   }
-  return Status::OK();
+  return reader.Finish();
 }
 
 std::string EncodeShardStatsResult(const ShardStatsResult& stats) {
@@ -603,7 +582,7 @@ Status DecodeShardStatsResult(std::string_view payload,
     OPT_RETURN_IF_ERROR(reader.GetDouble(&shard.latency_p99_micros));
     out->shards.push_back(std::move(shard));
   }
-  return Status::OK();
+  return reader.Finish();
 }
 
 std::string EncodeTracePullRequest(const TracePullRequest& request) {
@@ -615,9 +594,8 @@ std::string EncodeTracePullRequest(const TracePullRequest& request) {
 Status DecodeTracePullRequest(std::string_view payload,
                               TracePullRequest* out) {
   PayloadReader reader(payload);
-  out->drain = 1;
-  if (reader.AtEnd()) return Status::OK();
-  return reader.GetU8(&out->drain);
+  OPT_RETURN_IF_ERROR(reader.GetU8(&out->drain));
+  return reader.Finish();
 }
 
 std::string EncodeTracePullResult(const TracePullResult& result) {
@@ -683,7 +661,7 @@ Status DecodeTracePullResult(std::string_view payload,
     }
     out->processes.push_back(std::move(process));
   }
-  return Status::OK();
+  return reader.Finish();
 }
 
 Status WriteMessage(int fd, MessageType type, std::string_view payload) {

@@ -34,15 +34,11 @@ FetchCounters& GlobalFetchCounters() {
 
 BufferPool::BufferPool(uint32_t page_size, uint32_t num_frames)
     : page_size_(page_size), num_frames_(0) {
-  EnsureFrames(num_frames);
+  // No other thread can reach the pool before the constructor returns.
+  EnsureFramesLocked(num_frames);
 }
 
 BufferPool::~BufferPool() = default;
-
-void BufferPool::EnsureFrames(uint32_t min_frames) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  EnsureFramesLocked(min_frames);
-}
 
 void BufferPool::EnsureFramesLocked(uint32_t min_frames) {
   const uint32_t have = num_frames_.load(std::memory_order_relaxed);

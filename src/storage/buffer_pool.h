@@ -164,15 +164,11 @@ class BufferPool {
   /// then age out through normal LRU.
   void DropOwner(uint32_t owner);
 
-  /// Grows the pool to at least `min_frames` frames (no-op if already
-  /// large enough). Existing frame pointers remain valid.
-  void EnsureFrames(uint32_t min_frames);
-
   /// Capacity reservations for concurrent users of a shared pool: grows
   /// the pool so the sum of active reservations fits, guaranteeing each
   /// reserving query can keep that many frames pinned without starving
   /// the others. Frames are never freed — released capacity stays
-  /// behind as cache.
+  /// behind as cache, and existing frame pointers remain valid.
   void ReserveFrames(uint32_t n);
   void ReleaseFrames(uint32_t n);
 

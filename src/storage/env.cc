@@ -313,29 +313,6 @@ class DirectIoFile : public RandomAccessFile {
   uint64_t file_size_;
 };
 
-class FaultInjectionFile : public RandomAccessFile {
- public:
-  FaultInjectionFile(std::unique_ptr<RandomAccessFile> base,
-                     std::atomic<int64_t>* fail_after,
-                     std::atomic<uint64_t>* reads)
-      : base_(std::move(base)), fail_after_(fail_after), reads_(reads) {}
-
-  Status Read(uint64_t offset, size_t n, char* dst) const override {
-    const uint64_t idx = reads_->fetch_add(1, std::memory_order_relaxed);
-    const int64_t limit = fail_after_->load(std::memory_order_relaxed);
-    if (limit >= 0 && static_cast<int64_t>(idx) >= limit) {
-      return Status::IOError("injected fault at read #" +
-                             std::to_string(idx));
-    }
-    return base_->Read(offset, n, dst);
-  }
-
- private:
-  std::unique_ptr<RandomAccessFile> base_;
-  std::atomic<int64_t>* fail_after_;
-  std::atomic<uint64_t>* reads_;
-};
-
 }  // namespace
 
 Env* Env::Default() {
@@ -411,32 +388,6 @@ bool DirectIoEnv::FileExists(const std::string& path) {
 
 Status DirectIoEnv::DeleteFile(const std::string& path) {
   return fallback_->DeleteFile(path);
-}
-
-FaultInjectionEnv::FaultInjectionEnv(Env* base) : base_(base) {}
-
-Result<std::unique_ptr<RandomAccessFile>> FaultInjectionEnv::OpenRandomAccess(
-    const std::string& path) {
-  OPT_ASSIGN_OR_RETURN(auto file, base_->OpenRandomAccess(path));
-  return std::unique_ptr<RandomAccessFile>(
-      new FaultInjectionFile(std::move(file), &fail_after_, &reads_));
-}
-
-Result<std::unique_ptr<WritableFile>> FaultInjectionEnv::OpenWritable(
-    const std::string& path) {
-  return base_->OpenWritable(path);
-}
-
-Result<uint64_t> FaultInjectionEnv::FileSize(const std::string& path) {
-  return base_->FileSize(path);
-}
-
-bool FaultInjectionEnv::FileExists(const std::string& path) {
-  return base_->FileExists(path);
-}
-
-Status FaultInjectionEnv::DeleteFile(const std::string& path) {
-  return base_->DeleteFile(path);
 }
 
 }  // namespace opt

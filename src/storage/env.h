@@ -122,30 +122,6 @@ class DirectIoEnv : public Env {
   Env* fallback_;
 };
 
-/// Fault injection for tests: fails the k-th read (0-based) and every
-/// read after `fail_after_reads` with IOError.
-class FaultInjectionEnv : public Env {
- public:
-  explicit FaultInjectionEnv(Env* base);
-
-  Result<std::unique_ptr<RandomAccessFile>> OpenRandomAccess(
-      const std::string& path) override;
-  Result<std::unique_ptr<WritableFile>> OpenWritable(
-      const std::string& path) override;
-  Result<uint64_t> FileSize(const std::string& path) override;
-  bool FileExists(const std::string& path) override;
-  Status DeleteFile(const std::string& path) override;
-
-  /// Fails all reads once `n` reads have succeeded. Negative disables.
-  void FailReadsAfter(int64_t n) { fail_after_.store(n); }
-  uint64_t read_count() const { return reads_.load(); }
-
- private:
-  Env* base_;
-  std::atomic<int64_t> fail_after_{-1};
-  std::atomic<uint64_t> reads_{0};
-};
-
 }  // namespace opt
 
 #endif  // OPT_STORAGE_ENV_H_

@@ -196,8 +196,9 @@ class FaultInjectingFile : public RandomAccessFile {
                std::span<char* const> dsts) const override {
     FaultStats& stats = env_->stats();
     stats.reads.fetch_add(1, std::memory_order_relaxed);
+    if (!faultable_) return base_->ReadV(offset, n, dsts);
     const uint64_t op = env_->NextReadOp();
-    if (!env_->enabled() || !faultable_) return base_->ReadV(offset, n, dsts);
+    if (!env_->enabled()) return base_->ReadV(offset, n, dsts);
     const FaultPlan& plan = env_->plan();
 
     if (plan.fail_reads_after >= 0 &&

@@ -53,8 +53,10 @@ struct FaultPlan {
   /// Latency spikes: the read sleeps `latency_us` first.
   double latency_p = 0;
   uint32_t latency_us = 2000;
-  /// Global op trigger: read ops with index >= this fail persistently
-  /// (the legacy FaultInjectionEnv knob, kept for sweep-style tests).
+  /// Global op trigger: read ops with index >= this fail persistently.
+  /// Ops are the Read/ReadV calls on faultable files (see path_filter),
+  /// numbered from 0 in the order they reach the env since its
+  /// construction, whether or not injection was enabled at the time.
   int64_t fail_reads_after = -1;
   /// Crash simulation for builds: once this many bytes have been
   /// appended (across all writable files of the env), the write stream

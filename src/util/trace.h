@@ -11,8 +11,8 @@
 // the recorder; the caller then serializes with ToJson()/WriteJson().
 //
 // Distributed tracing: every request carries a 64-bit `trace_id` plus
-// the `span_id` of its parent span, propagated across the wire as a
-// back-compatible frame tail (old peers ignore it). Each process keeps
+// the `span_id` of its parent span across the wire (the last two fields
+// of each request payload). Each process keeps
 // a thread-local TraceContext {trace_id, current span_id}; TraceSpan
 // pushes itself as the current span so children — including spans on a
 // remote shard that received the ids over the wire — link into one

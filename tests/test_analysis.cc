@@ -1,9 +1,6 @@
 // Tests for the triangle-based analysis extensions: k-truss
-// decomposition and 4-clique counting/listing.
+// decomposition and 4-clique counting.
 #include <gtest/gtest.h>
-
-#include <set>
-#include <tuple>
 
 #include "analysis/clique4.h"
 #include "analysis/ktruss.h"
@@ -133,18 +130,6 @@ TEST(Clique4Test, ParallelMatchesSerial) {
                                  .triad_probability = 0.7,
                                  .seed = 9});
   EXPECT_EQ(Count4Cliques(g, 1), Count4Cliques(g, 4));
-}
-
-TEST(Clique4Test, ListingMatchesCountAndIsOrdered) {
-  CSRGraph g = GenerateErdosRenyi(80, 900, 8);
-  std::set<std::tuple<VertexId, VertexId, VertexId, VertexId>> seen;
-  List4Cliques(g, [&](VertexId a, VertexId b, VertexId c, VertexId d) {
-    EXPECT_LT(a, b);
-    EXPECT_LT(b, c);
-    EXPECT_LT(c, d);
-    EXPECT_TRUE(seen.emplace(a, b, c, d).second) << "duplicate clique";
-  });
-  EXPECT_EQ(seen.size(), Count4Cliques(g));
 }
 
 }  // namespace

@@ -72,21 +72,18 @@ TEST(BenchRunParse, UnifiedSchema) {
   EXPECT_EQ(run->rows[0].Get("config").AsString(), "opt_serial");
 }
 
+// A bare array of rows names no experiment and no host: it is not a
+// bench file.
 TEST(BenchRunParse, LegacyBareArray) {
   auto run = ParseBenchRun(
       R"([{"config":"opt_serial","seconds":0.1,"micro_overlap":0.8}])");
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->schema_version, 0);
-  EXPECT_EQ(run->experiment, "ablation_overlap");  // inferred from "config"
-  EXPECT_EQ(run->host.Fingerprint(), "");          // legacy: no host info
-  ASSERT_EQ(run->rows.size(), 1u);
+  EXPECT_TRUE(run.status().IsInvalidArgument());
 }
 
 TEST(BenchRunParse, LegacyArrayWithExplicitExperiment) {
   auto run = ParseBenchRun(
       R"([{"experiment":"shard_throughput","shards":2,"qps":10.0}])");
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->experiment, "shard_throughput");
+  EXPECT_TRUE(run.status().IsInvalidArgument());
 }
 
 TEST(BenchRunParse, GoogleBenchmarkFormat) {
@@ -253,8 +250,11 @@ TEST(BenchGate, MissingRowFailsUnlessAllowed) {
 
 TEST(BenchGate, ExperimentMismatchIsAnError) {
   auto base = ParseBenchRun(kUnified);
-  auto other = ParseBenchRun(
-      R"([{"experiment":"shard_throughput","shards":2,"qps":10.0}])");
+  auto other = ParseBenchRun(R"({
+    "schema_version": 1,
+    "experiment": "shard_throughput",
+    "rows": [{"shards":2,"qps":10.0}]
+  })");
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(CompareBenchRuns(*base, {*other}, GateOptions{}).ok());

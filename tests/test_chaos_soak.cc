@@ -45,18 +45,6 @@ int SoakSeconds() {
   return 3;
 }
 
-std::string MaterializeStore(const CSRGraph& g, Env* env,
-                             const std::string& tag) {
-  static std::atomic<int> counter{0};
-  const std::string base = testutil::ProcessTempDir() + "/chaos_" + tag +
-                           "_" + std::to_string(counter.fetch_add(1));
-  GraphStoreOptions options;
-  options.page_size = 256;
-  Status s = GraphStore::Create(g, env, base, options);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  return base;
-}
-
 TEST(ChaosSoak, MixedWorkloadUnderFaultsNeverCorruptsOrDeadlocks) {
   auto plan = FaultPlan::Parse(
       "seed=1337,read_error_p=0.03,transient=1,torn_read_p=0.01,"
@@ -74,8 +62,8 @@ TEST(ChaosSoak, MixedWorkloadUnderFaultsNeverCorruptsOrDeadlocks) {
   const uint64_t oracle2 = testutil::OracleCount(g2);
   // Build the stores fault-free; chaos targets the serving path.
   fenv.set_enabled(false);
-  const std::string path1 = MaterializeStore(g1, &fenv, "g1");
-  const std::string path2 = MaterializeStore(g2, &fenv, "g2");
+  const std::string path1 = testutil::CreateStore(g1, &fenv, "g1");
+  const std::string path2 = testutil::CreateStore(g2, &fenv, "g2");
 
   GraphRegistry registry(&fenv);
   SchedulerOptions scheduler_options;
@@ -273,7 +261,7 @@ TEST(ChaosSoak, StreamingMutationsUnderFaultsKeepEpochAtomicity) {
   ASSERT_GT(batch_delta, 0u);
 
   fenv.set_enabled(false);
-  const std::string path = MaterializeStore(g, &fenv, "gm");
+  const std::string path = testutil::CreateStore(g, &fenv, "gm");
 
   GraphRegistry registry(&fenv);
   SchedulerOptions scheduler_options;

@@ -316,10 +316,10 @@ TEST(OptRunnerTest, TriangleFreeGraph) {
 }
 
 TEST(OptRunnerTest, PropagatesInjectedIoErrors) {
-  FaultInjectionEnv fenv(Env::Default());
   CSRGraph g = GenerateErdosRenyi(300, 3000, 55);
-  auto store = testutil::MakeStore(g, &fenv, "opt_fault");
-  fenv.FailReadsAfter(static_cast<int64_t>(fenv.read_count()) + 10);
+  FaultInjectingEnv fenv(Env::Default(), testutil::FailPageReadsAfter(10));
+  auto store = testutil::OpenStore(
+      &fenv, testutil::CreateStore(g, Env::Default(), "opt_fault"));
 
   OptOptions options;
   options.m_in = std::max(store->MaxRecordPages(), store->num_pages() / 10);
@@ -489,7 +489,10 @@ TEST(OptRunnerTest, VertexIteratorWithTinyExternalArea) {
 TEST(OptRunnerTest, ThrottledEnvOverlapBeatsSyncAtDepth) {
   // With injected latency, OPT_serial at queue depth 8 must finish the
   // same work in less time than at depth 1 — the micro-level overlap.
-  ThrottledEnv env(Env::Default(), 50);
+  // The run issues ~280 read commands: at 2 ms each the injected latency
+  // dwarfs the run's CPU time even under a sanitizer's slowdown, so the
+  // comparison measures the overlap and not the instrumentation.
+  ThrottledEnv env(Env::Default(), 2000);
   CSRGraph g = GenerateErdosRenyi(600, 9000, 23);
   auto store = testutil::MakeStore(g, &env, "opt_throttle");
   OptOptions options;

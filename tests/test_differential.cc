@@ -438,11 +438,11 @@ TEST_F(DifferentialTest, RandomizedFaultOffsetsNeverYieldWrongCounts) {
   // Every run must either complete with the exact count (the fault
   // landed past the last read) or fail with the typed Unavailable.
   CSRGraph g = MakeRmat(5);
-  FaultInjectionEnv fenv(Env::Default());
-  auto store = testutil::MakeStore(g, &fenv, "diff_fault", 256);
+  const std::string base =
+      testutil::CreateStore(g, Env::Default(), "diff_fault", 256);
   const uint64_t oracle = testutil::OracleCount(g);
   EdgeIteratorModel model;
-  const auto splits = MakeSplits(*store);
+  const auto splits = MakeSplits(*testutil::OpenStore(Env::Default(), base));
 
   Random64 rng(0xFA17);
   int completed = 0;
@@ -458,7 +458,10 @@ TEST_F(DifferentialTest, RandomizedFaultOffsetsNeverYieldWrongCounts) {
     const int64_t offset = static_cast<int64_t>(rng.Uniform(3000));
     SCOPED_TRACE(ConfigLabel(split, threads, morph, true, kernel) +
                  " fail_after=" + std::to_string(offset));
-    fenv.FailReadsAfter(static_cast<int64_t>(fenv.read_count()) + offset);
+    // A fresh env per trial: its read ops count from zero.
+    FaultInjectingEnv fenv(Env::Default(),
+                           testutil::FailPageReadsAfter(offset));
+    auto store = testutil::OpenStore(&fenv, base);
     OptRunner runner(store.get(), &model,
                      MakeOptions(split, threads, morph, true, kernel));
     CountingSink sink;

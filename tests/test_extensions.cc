@@ -1,49 +1,16 @@
-// Tests for the extension algorithms: compact-forward, degeneracy
-// ordering, and the streaming reservoir estimator.
+// Tests for the extension algorithms: degeneracy ordering and the
+// streaming reservoir estimator.
 #include <gtest/gtest.h>
 
 #include "baselines/approx.h"
-#include "baselines/inmemory.h"
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
-#include "gen/rmat.h"
 #include "graph/builder.h"
 #include "graph/reorder.h"
 #include "test_helpers.h"
 
 namespace opt {
 namespace {
-
-TEST(CompactForwardTest, MatchesOracleTriangleSet) {
-  for (uint64_t seed : {1, 2, 3}) {
-    CSRGraph g = GenerateErdosRenyi(200, 1600, seed);
-    VectorSink sink;
-    CompactForwardInMemory(g, &sink);
-    EXPECT_EQ(sink.Sorted(), testutil::OracleTriangles(g)) << seed;
-  }
-}
-
-TEST(CompactForwardTest, SkewedGraph) {
-  RmatOptions gen;
-  gen.scale = 10;
-  gen.edge_factor = 8;
-  gen.seed = 4;
-  CSRGraph g = DegreeOrder(GenerateRmat(gen)).graph;
-  CountingSink forward, oracle;
-  CompactForwardInMemory(g, &forward);
-  EdgeIteratorInMemory(g, &oracle);
-  EXPECT_EQ(forward.count(), oracle.count());
-}
-
-TEST(CompactForwardTest, EmptyAndTriangleFree) {
-  CountingSink sink;
-  CompactForwardInMemory(GraphBuilder::FromEdges({}), &sink);
-  EXPECT_EQ(sink.count(), 0u);
-  GraphBuilder b;
-  for (VertexId v = 0; v + 1 < 50; ++v) b.AddEdge(v, v + 1);
-  CompactForwardInMemory(std::move(b).Build(), &sink);
-  EXPECT_EQ(sink.count(), 0u);
-}
 
 TEST(DegeneracyOrderTest, CliqueDegeneracy) {
   GraphBuilder b;

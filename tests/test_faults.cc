@@ -23,6 +23,7 @@
 #include "core/opt_runner.h"
 #include "core/triangle_sink.h"
 #include "gen/erdos_renyi.h"
+#include "graph/builder.h"
 #include "graph/csr_graph.h"
 #include "service/graph_registry.h"
 #include "service/query_scheduler.h"
@@ -194,6 +195,27 @@ TEST(FaultInjectingEnv, TransientFaultsHealAfterConfiguredAttempts) {
   env.ResetAttempts();
   EXPECT_FALSE((*file)->Read(0, sizeof(buf), buf).ok());
   EXPECT_EQ(env.stats().injected_read_errors.load(), 3u);
+}
+
+TEST(FaultInjectingEnv, ReadOpThresholdFailsEveryLaterPageRead) {
+  // The store is opened through the env: its metadata reads fall outside
+  // path_filter, so they neither count nor fail.
+  CSRGraph g = GraphBuilder::FromEdges({{0, 1}, {1, 2}});
+  const std::string base =
+      testutil::CreateStore(g, Env::Default(), "fail_after");
+  FaultInjectingEnv env(Env::Default(), testutil::FailPageReadsAfter(2));
+  auto store = testutil::OpenStore(&env, base);
+  std::vector<char> page(store->page_size());
+  EXPECT_TRUE(store->file()->ReadPage(0, page.data()).ok());  // op 0
+  // Paused reads pass, but each still takes an op index.
+  env.set_enabled(false);
+  EXPECT_TRUE(store->file()->ReadPage(0, page.data()).ok());  // op 1
+  EXPECT_TRUE(store->file()->ReadPage(0, page.data()).ok());  // op 2
+  env.set_enabled(true);
+  // Ops 3 and 4 are past the threshold and fail: the trigger never heals.
+  EXPECT_TRUE(store->file()->ReadPage(0, page.data()).IsIOError());
+  EXPECT_TRUE(store->file()->ReadPage(0, page.data()).IsIOError());
+  EXPECT_EQ(env.stats().injected_read_errors.load(), 2u);
 }
 
 TEST(FaultInjectingEnv, VectoredReadsMeetTheFaultsOfTheirBlocks) {
@@ -437,6 +459,45 @@ TEST(FaultDegradation, PersistentPlanReturnsUnavailableAndPoolRecovers) {
     const Status s = runner.Run(&sink, nullptr);
     ASSERT_TRUE(s.ok()) << s.ToString();
     EXPECT_EQ(sink.count(), oracle);
+  }
+}
+
+TEST(FaultDegradation, ExhaustedSharedPoolFailsTypedInsteadOfHanging) {
+  // A co-tenant pinning frames beyond any reservation can leave a run
+  // without a frame for an external page. The run must fail with the
+  // typed ResourceExhausted, also when the chunk whose Fetch failed was
+  // the only one in flight and others were still queued behind the
+  // budget (the run used to wait forever for those). Each held count
+  // moves the first failing Fetch; m_ex + 2 starves the first chunk.
+  CSRGraph g = GenerateErdosRenyi(600, 9000, 99);
+  const uint64_t oracle = testutil::OracleCount(g);
+  auto store = testutil::MakeStore(g, Env::Default(), "exhausted_pool");
+  OptOptions options;
+  options.m_in = std::max(store->MaxRecordPages(), store->num_pages() / 6);
+  options.m_ex = options.m_in;
+  options.macro_overlap = false;
+  options.pool_owner = 1;
+  EdgeIteratorModel model;
+  for (uint32_t hold = options.m_ex - 2; hold <= options.m_ex + 6; ++hold) {
+    SCOPED_TRACE("frames held by another owner: " + std::to_string(hold));
+    BufferPool shared(store->page_size(), hold);
+    std::vector<Frame*> held;
+    for (uint32_t pid = 0; pid < hold; ++pid) {
+      auto fetch = shared.Fetch(MakePageKey(/*owner=*/2, pid));
+      ASSERT_TRUE(fetch.ok());
+      held.push_back(fetch->frame);
+    }
+    options.shared_pool = &shared;
+    OptRunner runner(store.get(), &model, options);
+    CountingSink sink;
+    const Status s = runner.Run(&sink, nullptr);
+    if (s.ok()) {
+      EXPECT_EQ(sink.count(), oracle);
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+    }
+    shared.MarkFailed(held);
+    shared.Unpin(held);
   }
 }
 

@@ -242,13 +242,14 @@ TEST_P(IntersectTest, AllStrategiesAgreeOnRandomInputs) {
     b.erase(std::unique(b.begin(), b.end()), b.end());
 
     std::vector<VertexId> merge_out, gallop_out, adaptive_out;
-    IntersectMerge(a, b, &merge_out);
-    IntersectGalloping(a, b, &gallop_out);
+    constexpr IntersectKernel kScalar = IntersectKernel::kScalar;
+    IntersectMergeWith(kScalar, a, b, &merge_out);
+    IntersectGallopingWith(kScalar, a, b, &gallop_out);
     Intersect(a, b, &adaptive_out);
     EXPECT_EQ(merge_out, gallop_out);
     EXPECT_EQ(merge_out, adaptive_out);
-    EXPECT_EQ(IntersectCountMerge(a, b), merge_out.size());
-    EXPECT_EQ(IntersectCountGalloping(a, b), merge_out.size());
+    EXPECT_EQ(IntersectCountMergeWith(kScalar, a, b), merge_out.size());
+    EXPECT_EQ(IntersectCountGallopingWith(kScalar, a, b), merge_out.size());
     EXPECT_EQ(IntersectCount(a, b), merge_out.size());
   }
 }
@@ -267,7 +268,7 @@ TEST(IntersectTest, EmptyInputs) {
 TEST(IntersectTest, AppendsToExistingOutput) {
   std::vector<VertexId> a{1, 2, 3}, b{2, 3, 4};
   std::vector<VertexId> out{99};
-  EXPECT_EQ(IntersectMerge(a, b, &out), 2u);
+  EXPECT_EQ(IntersectMergeWith(IntersectKernel::kScalar, a, b, &out), 2u);
   EXPECT_EQ(out, (std::vector<VertexId>{99, 2, 3}));
 }
 

@@ -6,6 +6,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cctype>
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 #include "core/triangle_sink.h"
 #include "graph/csr_graph.h"
 #include "storage/env.h"
+#include "storage/fault_env.h"
 #include "storage/graph_store.h"
 
 namespace opt {
@@ -33,21 +35,54 @@ inline const std::string& ProcessTempDir() {
   return dir;
 }
 
+/// Creates a GraphStore for `g` under a unique temp base path and
+/// returns that path (the service registry opens stores by path).
+inline std::string CreateStore(const CSRGraph& g, Env* env,
+                               const std::string& tag,
+                               uint32_t page_size = 256) {
+  static std::atomic<int> counter{0};
+  const std::string base = ProcessTempDir() + "/store_" + tag + "_" +
+                           std::to_string(counter.fetch_add(1));
+  GraphStoreOptions options;
+  options.page_size = page_size;
+  Status s = GraphStore::Create(g, env, base, options);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return base;
+}
+
+/// Opens the store at `base` through `env`. Aborts the test on failure.
+inline std::unique_ptr<GraphStore> OpenStore(Env* env,
+                                             const std::string& base) {
+  auto store = GraphStore::Open(env, base);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return std::move(store.value());
+}
+
 /// Creates a GraphStore for `g` under a unique temp base path and opens
 /// it. Aborts the test on failure.
 inline std::unique_ptr<GraphStore> MakeStore(const CSRGraph& g, Env* env,
                                              const std::string& tag,
                                              uint32_t page_size = 256) {
-  static int counter = 0;
-  const std::string base =
-      ProcessTempDir() + "/store_" + tag + "_" + std::to_string(counter++);
-  GraphStoreOptions options;
-  options.page_size = page_size;
-  Status s = GraphStore::Create(g, env, base, options);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  auto store = GraphStore::Open(env, base);
-  EXPECT_TRUE(store.ok()) << store.status().ToString();
-  return std::move(store.value());
+  return OpenStore(env, CreateStore(g, env, tag, page_size));
+}
+
+/// A plan under which every read fails and never heals: a dead device,
+/// switched on and off with FaultInjectingEnv::set_enabled().
+inline FaultPlan EveryReadFails() {
+  FaultPlan plan;
+  plan.read_error_p = 1;
+  plan.transient = 0;
+  return plan;
+}
+
+/// A plan under which the page-file reads of a store succeed `n` times
+/// and then all fail. Metadata reads neither fail nor count, so a store
+/// opened through the env still has `n` good page reads left.
+inline FaultPlan FailPageReadsAfter(int64_t n) {
+  FaultPlan plan;
+  plan.fail_reads_after = n;
+  plan.path_filter = ".pages";
+  return plan;
 }
 
 /// Minimal JSON syntax checker (objects, arrays, strings, numbers,

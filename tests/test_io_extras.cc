@@ -39,7 +39,7 @@ TEST(BufferPoolTest, EnsureFramesGrowsAndKeepsPointersStable) {
   auto f0 = pool.Fetch(0);
   ASSERT_TRUE(f0.ok());
   char* data0 = f0->frame->data;
-  pool.EnsureFrames(64);
+  pool.ReserveFrames(64);
   EXPECT_EQ(pool.num_frames(), 64u);
   EXPECT_EQ(f0->frame->data, data0);  // old frame untouched
   // All 64 frames allocatable.

@@ -18,6 +18,7 @@
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -90,6 +91,37 @@ std::string Describe(const ProcessSnapshot& snapshot) {
   return "fds=" + std::to_string(snapshot.fds) +
          " threads=" + std::to_string(snapshot.threads) +
          " vm_size_kb=" + std::to_string(snapshot.vm_size_kb);
+}
+
+/// Polls for up to 10 s until every thread but the caller is asleep in a
+/// blocking call ('S' in /proc/self/task/<tid>/stat) at two polls in a
+/// row: each thread a daemon started is then past its start-up code.
+::testing::AssertionResult OtherThreadsAsleep() {
+  const std::string self = std::to_string(::syscall(SYS_gettid));
+  int quiet_polls = 0;
+  for (int i = 0; i < 1000 && quiet_polls < 2; ++i) {
+    bool all_asleep = true;
+    DIR* dir = ::opendir("/proc/self/task");
+    if (dir == nullptr) return ::testing::AssertionFailure() << "no /proc";
+    while (const dirent* entry = ::readdir(dir)) {
+      const std::string tid = entry->d_name;
+      if (tid[0] == '.' || tid == self) continue;
+      std::ifstream stat("/proc/self/task/" + tid + "/stat");
+      std::string line;
+      std::getline(stat, line);
+      // The state letter follows the parenthesised thread name.
+      const size_t name_end = line.rfind(')');
+      if (name_end == std::string::npos || name_end + 2 >= line.size() ||
+          line[name_end + 2] != 'S') {
+        all_asleep = false;
+      }
+    }
+    ::closedir(dir);
+    quiet_polls = all_asleep ? quiet_polls + 1 : 0;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (quiet_polls >= 2) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "threads still starting after 10 s";
 }
 
 /// Polls for up to 10 s until fds and threads are back to `base` and
@@ -361,27 +393,47 @@ TEST(ListenerContract, RouterErrorPathClosesTheConnectionOnce) {
 
 TEST(ListenerContract, AcceptLoopOutlivesFdExhaustion) {
   ServerUnderTest fixture;
-  // socket() takes the lowest free number, so capping the soft limit
-  // just above it leaves the server no fd to accept into.
-  const int client = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(client, 0);
-  SetTimeouts(client);
+  const uint16_t port = fixture.server.bound_port();
+  // While the limit is capped no thread can open a descriptor, and the
+  // sanitizers need some: UBSan's vptr check probes memory through a
+  // pipe and reports a false "invalid vptr" when it cannot make one. So
+  // one exchange first runs the accept-and-serve path with descriptors
+  // free (its checks are then cached), and every thread the fixture
+  // started must be running before the cap. The warm-up connection
+  // stays open, so no descriptor below the cap is freed during it.
+  const int warm = Dial(port);
+  ASSERT_GE(warm, 0);
+  ASSERT_TRUE(ServerStats(warm));
+  ASSERT_TRUE(OtherThreadsAsleep());
+  // socket() takes the lowest free numbers, so capping the soft limit
+  // just above `second` leaves no descriptor free. A blocked accept4
+  // has already reserved one, though: `first` may be accepted into it,
+  // and `second` then waits while the accept loop meets EMFILE.
+  const int first = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int second = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(first, 0);
+  ASSERT_GE(second, 0);
+  SetTimeouts(second);
   rlimit saved{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
   rlimit tight = saved;
-  tight.rlim_cur = static_cast<rlim_t>(client) + 1;
+  tight.rlim_cur = static_cast<rlim_t>(second) + 1;
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(fixture.server.bound_port());
-  const int connected =
-      ::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  addr.sin_port = htons(port);
+  const auto* peer = reinterpret_cast<sockaddr*>(&addr);
+  const int first_connected = ::connect(first, peer, sizeof(addr));
+  const int second_connected = ::connect(second, peer, sizeof(addr));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));  // EMFILE
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
-  ASSERT_EQ(connected, 0);
-  EXPECT_TRUE(ServerStats(client)) << "accept loop ended on EMFILE";
-  ::close(client);
+  ASSERT_EQ(first_connected, 0);
+  ASSERT_EQ(second_connected, 0);
+  EXPECT_TRUE(ServerStats(second)) << "accept loop ended on EMFILE";
+  ::close(second);
+  ::close(first);
+  ::close(warm);
 }
 
 }  // namespace

@@ -395,8 +395,10 @@ TEST(Trace, SpanIdsPropagateThroughContextScopes) {
   EXPECT_EQ(CurrentTraceContext().trace_id, 0u);  // scope restored
   StopTracing();
 
+  // Events() returns a copy: keep it alive while pointing into it.
+  const std::vector<TraceEvent> events = recorder.Events();
   const TraceEvent* child_event = nullptr;
-  for (const TraceEvent& event : recorder.Events()) {
+  for (const TraceEvent& event : events) {
     if (event.name == "child") child_event = &event;
   }
   ASSERT_NE(child_event, nullptr);

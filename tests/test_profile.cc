@@ -1,5 +1,5 @@
 // Overlap-profiler and flight-recorder tests: ring wraparound and torn-
-// read protection (including under TSan via the sanitize label), role
+// read protection (including under TSan via the tsan preset), role
 // sampling, the stall guard, morph accounting, and a profiled
 // end-to-end OPT run whose report must be internally consistent.
 #include <gtest/gtest.h>
@@ -82,8 +82,8 @@ TEST(FlightRecorder, ConcurrentWritersNeverProduceTornEvents) {
   // Each event carries a self-consistent (a, b) pair; any torn slot the
   // reader failed to skip would break the invariant. Run readers
   // concurrently with the writers so the seq-validation path is
-  // exercised, not just the quiescent one. The sanitize label reruns
-  // this under TSan.
+  // exercised, not just the quiescent one. The tsan preset reruns this
+  // under TSan.
   FlightRecorder recorder(64);
   constexpr int kWriters = 4;
   constexpr uint64_t kEventsPerWriter = 5000;

@@ -217,12 +217,11 @@ TEST_P(FaultSweepTest, FailureAtAnyPointIsCleanErrorOrCorrectResult) {
   // after the last read) or surface the typed Unavailable — never hang,
   // crash, or return a wrong count.
   CSRGraph g = MakeGraph(Gen::kRmat, 12);
-  FaultInjectionEnv fenv(Env::Default());
-  auto store = testutil::MakeStore(g, &fenv, "fault_sweep", 256);
+  FaultInjectingEnv fenv(Env::Default(),
+                         testutil::FailPageReadsAfter(GetParam()));
+  auto store = testutil::OpenStore(
+      &fenv, testutil::CreateStore(g, Env::Default(), "fault_sweep", 256));
   const uint64_t oracle = testutil::OracleCount(g);
-
-  const int64_t fail_after = GetParam();
-  fenv.FailReadsAfter(static_cast<int64_t>(fenv.read_count()) + fail_after);
 
   OptOptions options;
   options.m_in = std::max(store->MaxRecordPages(), store->num_pages() / 6);

@@ -8,7 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,27 +24,12 @@
 #include "service/wire.h"
 #include "storage/buffer_pool.h"
 #include "storage/env.h"
+#include "storage/fault_env.h"
 #include "storage/graph_store.h"
 #include "test_helpers.h"
 
 namespace opt {
 namespace {
-
-/// Creates an on-disk store for `g` and returns its base path (the
-/// registry opens stores by path, unlike testutil::MakeStore which
-/// returns an already-open store).
-std::string MaterializeStore(const CSRGraph& g, Env* env,
-                             const std::string& tag,
-                             uint32_t page_size = 256) {
-  static std::atomic<int> counter{0};
-  const std::string base = testutil::ProcessTempDir() + "/svc_" + tag + "_" +
-                           std::to_string(counter.fetch_add(1));
-  GraphStoreOptions options;
-  options.page_size = page_size;
-  Status s = GraphStore::Create(g, env, base, options);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  return base;
-}
 
 // ---------------------------------------------------------------------
 // Wire protocol
@@ -120,9 +107,8 @@ TEST(Wire, ErrorWithFlightEventsRoundTrip) {
 }
 
 TEST(Wire, ErrorWithoutEventsDecodesToEmptyTail) {
-  // An old server's frame ends after `message`; the decoder must not
-  // demand the event section.
   ErrorResult decoded;
+  decoded.events.push_back({1, FlightEventType::kDegrade, 0, 0});
   ASSERT_TRUE(
       DecodeError(EncodeError(Status::NotFound("gone")), &decoded).ok());
   EXPECT_TRUE(decoded.events.empty());
@@ -182,27 +168,150 @@ TEST(Wire, TruncatedPayloadsAreCorruption) {
   request.trace_id = 0x1111222233334444ull;
   request.parent_span_id = 0x5555666677778888ull;
   const std::string payload = EncodeQueryRequest(request);
-  // The last 16 bytes are the trace tail; a cut exactly at its start is
-  // a valid frame from a pre-tracing client (ids decode as zero). Every
-  // other cut is corruption.
-  const size_t tail_start = payload.size() - 16;
   for (size_t cut = 0; cut < payload.size(); ++cut) {
     QueryRequest decoded;
-    const Status s =
-        DecodeQueryRequest(payload.substr(0, cut), &decoded);
-    if (cut == tail_start) {
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      EXPECT_EQ(decoded.graph, "g");
-      EXPECT_EQ(decoded.trace_id, 0u);
-      EXPECT_EQ(decoded.parent_span_id, 0u);
-    } else {
-      EXPECT_EQ(s.code(), StatusCode::kCorruption) << "cut=" << cut;
+    EXPECT_EQ(DecodeQueryRequest(payload.substr(0, cut), &decoded).code(),
+              StatusCode::kCorruption)
+        << "cut=" << cut;
+  }
+}
+
+/// One row per payload shape: the encoding of a message with every
+/// field set, how many bytes its last field takes, and a decode that
+/// re-encodes what it read. Message types that share a shape (COUNT,
+/// LIST and PROFILE requests; ADD_EDGES and REMOVE_EDGES) share a row;
+/// STATS and SHARD_STATS requests carry no payload.
+struct WireCase {
+  std::string name;
+  std::string payload;
+  size_t last_field_bytes;
+  std::function<Status(std::string_view, std::string*)> reencode;
+};
+
+template <typename T, typename Encode>
+WireCase MakeWireCase(std::string name, const T& message,
+                      size_t last_field_bytes, Encode encode,
+                      Status (*decode)(std::string_view, T*)) {
+  return {std::move(name), encode(message), last_field_bytes,
+          [encode, decode](std::string_view payload, std::string* out) {
+            T decoded;
+            OPT_RETURN_IF_ERROR(decode(payload, &decoded));
+            *out = encode(decoded);
+            return Status::OK();
+          }};
+}
+
+std::vector<WireCase> AllWireCases() {
+  std::vector<WireCase> cases;
+  cases.push_back(MakeWireCase("QueryRequest",
+                               QueryRequest{"g", 8, 2, 1000, 0xabc, 0x42}, 8,
+                               EncodeQueryRequest, DecodeQueryRequest));
+  cases.push_back(MakeWireCase(
+      "CountResult", CountResult{99, 0.5, 2, 7, 40, 3, 0b101, 3}, 4,
+      EncodeCountResult, DecodeCountResult));
+  cases.push_back(MakeWireCase("LoadGraphRequest",
+                               LoadGraphRequest{"g", "/data/g"}, 4 + 7,
+                               EncodeLoadGraphRequest,
+                               DecodeLoadGraphRequest));
+  cases.push_back(MakeWireCase(
+      "MutateRequest", MutateRequest{"g", {{1, 2}, {3, 4}}, 7, 9}, 8,
+      EncodeMutateRequest, DecodeMutateRequest));
+  cases.push_back(MakeWireCase(
+      "MutateResult", MutateResult{5, -3, -1, 2, 0.25, 1, 17.5, 0b10, 2}, 4,
+      EncodeMutateResult, DecodeMutateResult));
+  cases.push_back(MakeWireCase(
+      "SubscribeCountRequest", SubscribeCountRequest{"g", 3, 50, 11, 13}, 8,
+      EncodeSubscribeCountRequest, DecodeSubscribeCountRequest));
+  cases.push_back(MakeWireCase(
+      "SubscribeCountResult",
+      SubscribeCountResult{4, 1, 1, 20, -2, 6, 1, 1, 19.5, 1, 4}, 4,
+      EncodeSubscribeCountResult, DecodeSubscribeCountResult));
+  ErrorResult error;
+  error.code = static_cast<uint32_t>(StatusCode::kUnavailable);
+  error.message = "degraded";
+  error.events = {{100, FlightEventType::kIoRetry, 7, 1},
+                  {300, FlightEventType::kDegrade, 10, 0}};
+  error.trace_id = 0xfeedface;
+  cases.push_back(MakeWireCase(
+      "Error", error, 8,
+      [](const ErrorResult& e) {
+        return EncodeError(e.ToStatus(), e.events, e.trace_id);
+      },
+      DecodeError));
+  ProfileResult profile;
+  profile.triangles = 4242;
+  profile.seconds = 1.25;
+  profile.samples = 1000;
+  profile.role_samples = {1, 2, 3};
+  profile.cost_residual_seconds = -0.01;
+  cases.push_back(MakeWireCase("ProfileResult", profile, 8,
+                               EncodeProfileResult, DecodeProfileResult));
+  ListBatch batch;
+  batch.records = {{1, 2, {3, 4, 5}}, {20, 21, {}}, {7, 9, {11}}};
+  cases.push_back(MakeWireCase("ListBatch", batch, 4, EncodeListBatch,
+                               DecodeListBatch));
+  cases.push_back(MakeWireCase("ListEnd", ListEnd{12, 0.75, 0b1000, 4}, 4,
+                               EncodeListEnd, DecodeListEnd));
+  StatsResult stats;
+  stats.text = "scheduler.submitted=1\n";
+  stats.histograms.push_back({"query.latency_us", 1, 5, 5, 5, 5, 5, 5});
+  stats.counters.push_back({"io.requests", 9});
+  cases.push_back(MakeWireCase("StatsResult", stats, 8, EncodeStatsResult,
+                               DecodeStatsResult));
+  ShardStatsResult shard_stats;
+  shard_stats.graph = "g";
+  ShardStatsEntry shard;
+  shard.id = 1;
+  shard.address = "127.0.0.1:7000";
+  shard.healthy = 1;
+  shard.range_hi = 100;
+  shard.latency_p99_micros = 812.5;
+  shard_stats.shards = {shard, shard};
+  cases.push_back(MakeWireCase("ShardStatsResult", shard_stats, 8,
+                               EncodeShardStatsResult,
+                               DecodeShardStatsResult));
+  cases.push_back(MakeWireCase("TracePullRequest", TracePullRequest{0}, 1,
+                               EncodeTracePullRequest,
+                               DecodeTracePullRequest));
+  ProcessTrace process;
+  process.pid = 4242;
+  process.label = "shard7";
+  TraceEvent event;
+  event.name = "query.count";
+  event.category = "service";
+  event.phase = 'X';
+  event.args_json = "{}";
+  process.events = {event};
+  cases.push_back(MakeWireCase("TracePullResult",
+                               TracePullResult{{process, process}}, 4 + 2,
+                               EncodeTracePullResult, DecodeTracePullResult));
+  return cases;
+}
+
+TEST(Wire, EveryPayloadIsExactlyItsFields) {
+  for (const WireCase& c : AllWireCases()) {
+    SCOPED_TRACE(c.name);
+    std::string reencoded;
+    ASSERT_TRUE(c.reencode(c.payload, &reencoded).ok());
+    EXPECT_EQ(reencoded, c.payload);
+
+    ASSERT_LE(c.last_field_bytes, c.payload.size());
+    const std::string_view without_last_field(
+        c.payload.data(), c.payload.size() - c.last_field_bytes);
+    EXPECT_EQ(c.reencode(without_last_field, &reencoded).code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(c.reencode(c.payload + '\0', &reencoded).code(),
+              StatusCode::kCorruption);
+    // No shorter payload decodes either. (A cut inside a mutate batch's
+    // edge list is the client's InvalidArgument, not Corruption.)
+    for (size_t cut = 0; cut < c.payload.size(); ++cut) {
+      EXPECT_FALSE(c.reencode(c.payload.substr(0, cut), &reencoded).ok())
+          << "cut=" << cut;
     }
   }
 }
 
-TEST(Wire, RequestTraceTailsRoundTripAndOldFramesDecodeAsUntraced) {
-  // New encoder → new decoder: the ids survive.
+TEST(Wire, RequestTraceIdsRoundTrip) {
   QueryRequest query{"g", 8, 2, 1000};
   query.trace_id = 0xabcdef0123456789ull;
   query.parent_span_id = 0x42ull;
@@ -239,48 +348,9 @@ TEST(Wire, RequestTraceTailsRoundTripAndOldFramesDecodeAsUntraced) {
   EXPECT_EQ(subscribe_decoded.after_epoch, 3u);
   EXPECT_EQ(subscribe_decoded.trace_id, 11u);
   EXPECT_EQ(subscribe_decoded.parent_span_id, 13u);
-
-  // Old frame → new decoder: chop the 16-byte tail off each encoding;
-  // decode succeeds with zeroed ids and intact fixed fields.
-  auto chop = [](std::string payload) {
-    payload.resize(payload.size() - 16);
-    return payload;
-  };
-  QueryRequest old_query;
-  ASSERT_TRUE(
-      DecodeQueryRequest(chop(EncodeQueryRequest(query)), &old_query).ok());
-  EXPECT_EQ(old_query.memory_pages, 8u);
-  EXPECT_EQ(old_query.trace_id, 0u);
-  EXPECT_EQ(old_query.parent_span_id, 0u);
-  MutateRequest old_mutate;
-  ASSERT_TRUE(
-      DecodeMutateRequest(chop(EncodeMutateRequest(mutate)), &old_mutate)
-          .ok());
-  EXPECT_EQ(old_mutate.edges, mutate.edges);
-  EXPECT_EQ(old_mutate.trace_id, 0u);
-  SubscribeCountRequest old_subscribe;
-  ASSERT_TRUE(DecodeSubscribeCountRequest(
-                  chop(EncodeSubscribeCountRequest(subscribe)),
-                  &old_subscribe)
-                  .ok());
-  EXPECT_EQ(old_subscribe.timeout_millis, 50u);
-  EXPECT_EQ(old_subscribe.trace_id, 0u);
-
-  // New frame → old decoder: a pre-tracing peer reads the fixed fields
-  // and must see no leftover bytes it would misparse as its own tail —
-  // the tail is strictly appended, so the fixed prefix is byte-identical.
-  QueryRequest untraced = query;
-  untraced.trace_id = 0;
-  untraced.parent_span_id = 0;
-  const std::string new_frame = EncodeQueryRequest(query);
-  const std::string old_frame = EncodeQueryRequest(untraced);
-  ASSERT_EQ(new_frame.size(), old_frame.size());
-  EXPECT_EQ(new_frame.substr(0, new_frame.size() - 16),
-            old_frame.substr(0, old_frame.size() - 16));
 }
 
-TEST(Wire, ErrorTraceIdTailRoundTripsAndToleratesOldFrames) {
-  // New encoder carries events + trace id; both decode.
+TEST(Wire, ErrorTraceIdRoundTrips) {
   std::vector<FlightEvent> events;
   events.push_back({1000, FlightEventType::kIoRetry, 2, 1});
   ErrorResult decoded;
@@ -291,15 +361,6 @@ TEST(Wire, ErrorTraceIdTailRoundTripsAndToleratesOldFrames) {
   EXPECT_EQ(decoded.code, static_cast<uint32_t>(StatusCode::kUnavailable));
   ASSERT_EQ(decoded.events.size(), 1u);
   EXPECT_EQ(decoded.trace_id, 0xfeedface0000ull);
-
-  // Frame ending after events (pre-tracing server): trace_id zero.
-  std::string no_trace_tail =
-      EncodeError(Status::Unavailable("degraded"), events, 0x1234ull);
-  no_trace_tail.resize(no_trace_tail.size() - 8);
-  ErrorResult no_trace_decoded;
-  ASSERT_TRUE(DecodeError(no_trace_tail, &no_trace_decoded).ok());
-  ASSERT_EQ(no_trace_decoded.events.size(), 1u);
-  EXPECT_EQ(no_trace_decoded.trace_id, 0u);
 }
 
 TEST(Wire, TracePullRoundTrip) {
@@ -310,11 +371,6 @@ TEST(Wire, TracePullRoundTrip) {
                                      &request_decoded)
                   .ok());
   EXPECT_EQ(request_decoded.drain, 0u);
-  // Old-style empty payload (or a future peer sending nothing) decodes
-  // as the drain default.
-  TracePullRequest empty_decoded;
-  ASSERT_TRUE(DecodeTracePullRequest("", &empty_decoded).ok());
-  EXPECT_EQ(empty_decoded.drain, 1u);
 
   TracePullResult result;
   ProcessTrace section;
@@ -462,30 +518,6 @@ TEST(Wire, StatsResultRoundTrip) {
   EXPECT_EQ(decoded.counters[1].value, 41u);
 }
 
-TEST(Wire, StatsResultForwardCompatibleBothDirections) {
-  // Old client reading a new server's frame: the legacy decode path is
-  // GetString on the payload, ignoring whatever follows.
-  StatsResult stats;
-  stats.text = "scheduler.submitted=1\n";
-  stats.histograms.push_back({"query.latency_us", 1, 5, 5, 5, 5, 5, 5});
-  stats.counters.push_back({"io.requests", 9});
-  const std::string new_payload = EncodeStatsResult(stats);
-  PayloadReader old_client(new_payload);
-  std::string text;
-  ASSERT_TRUE(old_client.GetString(&text).ok());
-  EXPECT_EQ(text, stats.text);
-
-  // New client reading an old server's frame (just the string): empty
-  // structured sections, not a decode error.
-  std::string old_payload;
-  PutString(&old_payload, "cache.hits=2\n");
-  StatsResult decoded;
-  ASSERT_TRUE(DecodeStatsResult(old_payload, &decoded).ok());
-  EXPECT_EQ(decoded.text, "cache.hits=2\n");
-  EXPECT_TRUE(decoded.histograms.empty());
-  EXPECT_TRUE(decoded.counters.empty());
-}
-
 TEST(Wire, StatsResultTruncatedStructuredSectionIsCorruption) {
   StatsResult stats;
   stats.histograms.push_back({"h", 1, 1, 1, 1, 1, 1, 1});
@@ -584,7 +616,7 @@ TEST(SharedPool, StatsSnapshotAndReset) {
 
 TEST(GraphRegistry, LoadAcquireList) {
   CSRGraph g = GenerateErdosRenyi(100, 500, 11);
-  const std::string path = MaterializeStore(g, Env::Default(), "reg");
+  const std::string path = testutil::CreateStore(g, Env::Default(), "reg");
   GraphRegistry registry(Env::Default());
   EXPECT_EQ(registry.pool(), nullptr);
   ASSERT_TRUE(registry.LoadGraph("g1", path).ok());
@@ -602,8 +634,8 @@ TEST(GraphRegistry, LoadAcquireList) {
 
 TEST(GraphRegistry, ReloadBumpsEpochAndKeepsOldHandleAlive) {
   CSRGraph g = GenerateErdosRenyi(80, 400, 3);
-  const std::string path1 = MaterializeStore(g, Env::Default(), "re1");
-  const std::string path2 = MaterializeStore(g, Env::Default(), "re2");
+  const std::string path1 = testutil::CreateStore(g, Env::Default(), "re1");
+  const std::string path2 = testutil::CreateStore(g, Env::Default(), "re2");
   GraphRegistry registry(Env::Default());
   ASSERT_TRUE(registry.LoadGraph("g", path1).ok());
   auto old_handle = registry.Acquire("g");
@@ -620,9 +652,9 @@ TEST(GraphRegistry, ReloadBumpsEpochAndKeepsOldHandleAlive) {
 TEST(GraphRegistry, RejectsMismatchedPageSize) {
   CSRGraph g = GenerateErdosRenyi(50, 200, 9);
   const std::string p256 =
-      MaterializeStore(g, Env::Default(), "ps256", 256);
+      testutil::CreateStore(g, Env::Default(), "ps256", 256);
   const std::string p512 =
-      MaterializeStore(g, Env::Default(), "ps512", 512);
+      testutil::CreateStore(g, Env::Default(), "ps512", 512);
   GraphRegistry registry(Env::Default());
   ASSERT_TRUE(registry.LoadGraph("a", p256).ok());
   const Status s = registry.LoadGraph("b", p512);
@@ -669,9 +701,9 @@ struct ServiceFixture {
   explicit ServiceFixture(Env* env, SchedulerOptions options = {})
       : registry(env), scheduler(&registry, options) {
     Status s = scheduler.LoadGraph(
-        "g1", MaterializeStore(g1, env, "fix1"));
+        "g1", testutil::CreateStore(g1, env, "fix1"));
     EXPECT_TRUE(s.ok()) << s.ToString();
-    s = scheduler.LoadGraph("g2", MaterializeStore(g2, env, "fix2"));
+    s = scheduler.LoadGraph("g2", testutil::CreateStore(g2, env, "fix2"));
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
 };
@@ -862,7 +894,7 @@ TEST(QueryScheduler, ReloadInvalidatesCacheAndAnswersFresh) {
   GraphRegistry registry(env);
   QueryScheduler scheduler(&registry, {});
   ASSERT_TRUE(
-      scheduler.LoadGraph("g", MaterializeStore(small, env, "inv1")).ok());
+      scheduler.LoadGraph("g", testutil::CreateStore(small, env, "inv1")).ok());
   QuerySpec spec;
   spec.graph = "g";
   const QueryResult first = scheduler.Run(spec);
@@ -870,7 +902,7 @@ TEST(QueryScheduler, ReloadInvalidatesCacheAndAnswersFresh) {
   EXPECT_EQ(first.triangles, oracle_small);
   ASSERT_TRUE(scheduler.Run(spec).source == ResultSource::kCache);
   ASSERT_TRUE(
-      scheduler.LoadGraph("g", MaterializeStore(big, env, "inv2")).ok());
+      scheduler.LoadGraph("g", testutil::CreateStore(big, env, "inv2")).ok());
   const QueryResult after = scheduler.Run(spec);
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.triangles, oracle_big);
@@ -879,7 +911,8 @@ TEST(QueryScheduler, ReloadInvalidatesCacheAndAnswersFresh) {
 }
 
 TEST(QueryScheduler, InjectedReadFaultsFailQueriesNotProcess) {
-  FaultInjectionEnv faulty(Env::Default());
+  FaultInjectingEnv faulty(Env::Default(), testutil::EveryReadFails());
+  faulty.set_enabled(false);
   SchedulerOptions options;
   options.enable_result_cache = false;
   ServiceFixture fix(&faulty, options);
@@ -887,25 +920,26 @@ TEST(QueryScheduler, InjectedReadFaultsFailQueriesNotProcess) {
   spec.graph = "g1";
   const QueryResult healthy = fix.scheduler.Run(spec);
   ASSERT_TRUE(healthy.status.ok());
-  faulty.FailReadsAfter(0);
+  faulty.set_enabled(true);
   const QueryResult hurt = fix.scheduler.Run(spec);
   EXPECT_FALSE(hurt.status.ok());
-  faulty.FailReadsAfter(-1);
+  faulty.set_enabled(false);
   const QueryResult recovered = fix.scheduler.Run(spec);
   ASSERT_TRUE(recovered.status.ok()) << recovered.status.ToString();
   EXPECT_EQ(recovered.triangles, fix.oracle1);
 }
 
 TEST(QueryScheduler, DegradedQueryCarriesItsFlightRecorderTail) {
-  FaultInjectionEnv faulty(Env::Default());
+  FaultInjectingEnv faulty(Env::Default(), testutil::EveryReadFails());
+  faulty.set_enabled(false);
   SchedulerOptions options;
   options.enable_result_cache = false;
   ServiceFixture fix(&faulty, options);
-  faulty.FailReadsAfter(0);
+  faulty.set_enabled(true);
   QuerySpec spec;
   spec.graph = "g1";
   const QueryResult hurt = fix.scheduler.Run(spec);
-  faulty.FailReadsAfter(-1);
+  faulty.set_enabled(false);
   ASSERT_FALSE(hurt.status.ok());
   EXPECT_TRUE(hurt.degraded);
   ASSERT_FALSE(hurt.flight_events.empty());
@@ -956,8 +990,8 @@ TEST(OptServer, EndToEndConcurrentClients) {
   CSRGraph g2 = GenerateErdosRenyi(250, 2500, 22);
   const uint64_t oracle1 = testutil::OracleCount(g1);
   const uint64_t oracle2 = testutil::OracleCount(g2);
-  const std::string path1 = MaterializeStore(g1, env, "srv1");
-  const std::string path2 = MaterializeStore(g2, env, "srv2");
+  const std::string path1 = testutil::CreateStore(g1, env, "srv1");
+  const std::string path2 = testutil::CreateStore(g2, env, "srv2");
 
   GraphRegistry registry(env);
   SchedulerOptions options;
@@ -1032,7 +1066,7 @@ TEST(OptServer, UnixSocketCountAndDisabledLoadGraph) {
   Env* env = Env::Default();
   CSRGraph g = GenerateErdosRenyi(120, 900, 33);
   const uint64_t oracle = testutil::OracleCount(g);
-  const std::string path = MaterializeStore(g, env, "unix");
+  const std::string path = testutil::CreateStore(g, env, "unix");
   GraphRegistry registry(env);
   QueryScheduler scheduler(&registry, {});
   ASSERT_TRUE(scheduler.LoadGraph("g", path).ok());
@@ -1063,7 +1097,7 @@ TEST(OptServer, ProfileQueryReturnsOverlapReportOverTheWire) {
   GraphRegistry registry(env);
   QueryScheduler scheduler(&registry, {});
   ASSERT_TRUE(
-      scheduler.LoadGraph("g", MaterializeStore(g, env, "profsrv")).ok());
+      scheduler.LoadGraph("g", testutil::CreateStore(g, env, "profsrv")).ok());
   OptServer server(&scheduler);
   ASSERT_TRUE(server.ListenTcp(0).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -1086,23 +1120,25 @@ TEST(OptServer, ProfileQueryReturnsOverlapReportOverTheWire) {
 }
 
 TEST(OptServer, DegradedQueryShipsFlightRecorderTailOverTheWire) {
-  FaultInjectionEnv faulty(Env::Default());
+  FaultInjectingEnv faulty(Env::Default(), testutil::EveryReadFails());
+  faulty.set_enabled(false);
   CSRGraph g = GenerateErdosRenyi(300, 3000, 56);
   GraphRegistry registry(&faulty);
   SchedulerOptions options;
   options.enable_result_cache = false;
   QueryScheduler scheduler(&registry, options);
-  ASSERT_TRUE(
-      scheduler.LoadGraph("g", MaterializeStore(g, &faulty, "degsrv")).ok());
+  ASSERT_TRUE(scheduler
+                  .LoadGraph("g", testutil::CreateStore(g, &faulty, "degsrv"))
+                  .ok());
   OptServer server(&scheduler);
   ASSERT_TRUE(server.ListenTcp(0).ok());
   ASSERT_TRUE(server.Start().ok());
 
   OptClient client;
   ASSERT_TRUE(client.ConnectTcp("127.0.0.1", server.bound_port()).ok());
-  faulty.FailReadsAfter(0);
+  faulty.set_enabled(true);
   auto hurt = client.Count("g");
-  faulty.FailReadsAfter(-1);
+  faulty.set_enabled(false);
   ASSERT_FALSE(hurt.ok());
   EXPECT_EQ(hurt.status().code(), StatusCode::kUnavailable);
   // The ERROR frame carried the query's own postmortem.
@@ -1219,7 +1255,7 @@ TEST(OptServer, StreamingMutationsEndToEnd) {
   // K4 minus {2,3}: 2 triangles; adding {2,3} closes 2 more.
   CSRGraph g = GraphBuilder::FromEdges({{0, 1}, {0, 2}, {0, 3}, {1, 2},
                                         {1, 3}});
-  const std::string path = MaterializeStore(g, env, "mut_e2e");
+  const std::string path = testutil::CreateStore(g, env, "mut_e2e");
   GraphRegistry registry(env);
   QueryScheduler scheduler(&registry, {});
   ASSERT_TRUE(scheduler.LoadGraph("g", path).ok());
@@ -1315,7 +1351,7 @@ TEST(OptServer, MutationsCanBeDisabled) {
   GraphRegistry registry(env);
   QueryScheduler scheduler(&registry, {});
   ASSERT_TRUE(
-      scheduler.LoadGraph("g", MaterializeStore(g, env, "romut")).ok());
+      scheduler.LoadGraph("g", testutil::CreateStore(g, env, "romut")).ok());
   OptServer server(&scheduler, /*allow_load_graph=*/true,
                    /*allow_mutations=*/false);
   ASSERT_TRUE(server.ListenTcp(0).ok());
@@ -1344,7 +1380,7 @@ TEST(OptServer, SubscribePrimesBaseCountInBackground) {
   GraphRegistry registry(env);
   QueryScheduler scheduler(&registry, {});
   ASSERT_TRUE(
-      scheduler.LoadGraph("g", MaterializeStore(g, env, "prime")).ok());
+      scheduler.LoadGraph("g", testutil::CreateStore(g, env, "prime")).ok());
   OptServer server(&scheduler);
   ASSERT_TRUE(server.ListenTcp(0).ok());
   ASSERT_TRUE(server.Start().ok());

@@ -1,7 +1,7 @@
 // Tests for the listing sinks: the file sink (ListingSink, asynchronous
 // and synchronous) and the service's LIST wire sink (WireListSink), both
-// built on the per-thread NestedRecordEncoder. Labeled `sanitize`, so the
-// ASan+UBSan and TSan jobs run the concurrent-emitter cases.
+// built on the per-thread NestedRecordEncoder. The ASan+UBSan and TSan
+// jobs run the concurrent-emitter cases like every other suite.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>

@@ -228,10 +228,9 @@ TEST_F(AsyncIoTest, CallbackCanChainSubmissions) {
 }
 
 TEST_F(AsyncIoTest, ReportsReadErrors) {
-  FaultInjectionEnv fenv(env_);
+  FaultInjectingEnv fenv(env_, testutil::EveryReadFails());
   auto file = PageFile::Open(&fenv, path_, 128);
   ASSERT_TRUE(file.ok());
-  fenv.FailReadsAfter(0);  // every read fails
   AsyncIoEngine engine(1);
   BufferPool pool(128, 2);
   CompletionQueue queue;
@@ -606,16 +605,6 @@ TEST(ThrottledEnvTest, CountsAndDelays) {
   EXPECT_GE(watch.ElapsedMicros(), 90);
   EXPECT_GE(env.stats().reads.load(), 1u);
   EXPECT_GT(env.stats().write_bytes.load(), 0u);  // store creation
-}
-
-TEST(FaultInjectionEnvTest, FailsAfterThreshold) {
-  FaultInjectionEnv env(Env::Default());
-  CSRGraph g = GraphBuilder::FromEdges({{0, 1}, {1, 2}});
-  auto store = testutil::MakeStore(g, &env, "faulty");
-  env.FailReadsAfter(static_cast<int64_t>(env.read_count()) + 1);
-  std::vector<char> page(store->page_size());
-  EXPECT_TRUE(store->file()->ReadPage(0, page.data()).ok());
-  EXPECT_TRUE(store->file()->ReadPage(0, page.data()).IsIOError());
 }
 
 }  // namespace

@@ -10,11 +10,10 @@
 // is judged, so one noisy run cannot flake CI. Exit codes: 0 pass,
 // 1 regression/missing rows, 2 usage or parse error.
 //
-// Baselines may be in the unified schema (bench_common.h), the legacy
-// bare-array format of earlier PRs, or google-benchmark JSON — the
-// format is auto-detected. Host-dependent metrics (seconds, qps) gate
-// only when the two runs carry the same host fingerprint, unless
-// --strict_host forces them.
+// Baselines may be in the unified schema (bench_common.h) or
+// google-benchmark JSON — the format is auto-detected. Host-dependent
+// metrics (seconds, qps) gate only when the two runs carry the same
+// host fingerprint, unless --strict_host forces them.
 #include <cstdio>
 #include <string>
 #include <vector>

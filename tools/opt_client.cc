@@ -39,11 +39,10 @@ using namespace opt;
 
 namespace {
 
-/// Pretty-prints the structured STATS reply: the legacy text section,
+/// Pretty-prints the structured STATS reply: the key=value text section,
 /// then latency histogram quantiles and the metrics-registry counters as
 /// aligned tables, then a summary block with the derived pool hit rate
-/// and the two health counters operators grep for first. Old servers
-/// only send the text.
+/// and the two health counters operators grep for first.
 void PrintStats(const StatsResult& stats) {
   std::fputs(stats.text.c_str(), stdout);
   if (!stats.histograms.empty()) {
