@@ -6,14 +6,12 @@
 //   --write_us N      emulated per-page write latency (µs)
 //   --threads  N      worker threads for parallel methods
 //   --work_dir PATH   where graph stores are materialized
-//   --kernel   K      intersection kernel: scalar|avx2|bitmap|
-//                     bitmap_scalar|auto (default auto)
-//   --hub_split S     hub/tail degree split for the bitmap kernels:
-//                     off|auto|pNN|<degree> (default auto; only
-//                     consulted under a bitmap kernel)
-// Both reach the runs through BenchContext::Apply (MethodConfig /
-// OptOptions); binaries with in-memory passes also install --kernel in
-// an IntersectScope on their main thread.
+//   --kernel   K      pairwise intersection kernel of the in-memory
+//                     passes: scalar|avx2|bitmap|bitmap_scalar|auto
+//                     (default auto). Binaries with such passes install
+//                     it in an IntersectScope on their main thread; OPT
+//                     and the harness methods intersect by
+//                     mark-and-probe and select no kernel.
 // The latency injection stands in for the paper's direct-I/O FlashSSD:
 // it makes I/O cost proportional to pages touched even when the OS page
 // cache would otherwise hide it (DESIGN.md §3).
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "core/opt_runner.h"
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "harness/datasets.h"
 #include "harness/methods.h"
@@ -57,22 +54,10 @@ struct BenchContext {
   uint32_t threads = 2;
   /// Set when --kernel was passed (already checked against the CPU).
   std::optional<IntersectKernel> kernel;
-  /// Set when --hub_split was passed.
-  std::optional<HubSplitSpec> hub_split;
   /// --json_out PATH: where the unified bench report goes ("" = none).
   std::string json_out;
 
   Env* get_env() { return env.get(); }
-
-  /// Carries --kernel / --hub_split into a run's configuration.
-  void Apply(MethodConfig* config) const {
-    config->kernel = kernel;
-    config->hub_split = hub_split;
-  }
-  void Apply(OptOptions* options) const {
-    options->kernel = kernel;
-    options->hub_split = hub_split;
-  }
 };
 
 inline BenchContext MakeContext(int argc, char** argv) {
@@ -103,14 +88,6 @@ inline BenchContext MakeContext(int argc, char** argv) {
       std::exit(2);
     }
     ctx.kernel = *parsed;
-  }
-  if (cl->Has("hub_split")) {
-    auto split = HubSplitSpec::Parse(cl->GetString("hub_split", "auto"));
-    if (!split.ok()) {
-      std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
-      std::exit(2);
-    }
-    ctx.hub_split = *split;
   }
   return ctx;
 }

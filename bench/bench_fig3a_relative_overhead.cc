@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
     for (double percent : {5.0, 10.0, 15.0, 20.0, 25.0}) {
       const uint32_t buffer = PagesForBufferPercent(**store, percent);
       OptOptions options;
-      ctx.Apply(&options);
       options.m_in =
           std::max(buffer / 2, (*store)->MaxRecordPages());
       options.m_ex = std::max(1u, buffer / 2);

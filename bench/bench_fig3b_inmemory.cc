@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
       options.m_ex = std::max(1u, buffer / 2);
       options.macro_overlap = false;
       options.thread_morphing = false;
-      ctx.Apply(&options);
       OptRunner runner(store->get(), &model, options);
       CountingSink sink;
       Stopwatch w;

@@ -15,11 +15,9 @@ using namespace opt;
 
 namespace {
 
-Result<OptRunStats> RunVariant(const bench::BenchContext& ctx,
-                               GraphStore* store, uint32_t buffer,
+Result<OptRunStats> RunVariant(GraphStore* store, uint32_t buffer,
                                bool macro, bool morph, uint32_t threads) {
   OptOptions options;
-  ctx.Apply(&options);
   options.m_in = std::max(buffer / 2, store->MaxRecordPages());
   options.m_ex = std::max(1u, buffer / 2);
   options.macro_overlap = macro;
@@ -50,9 +48,9 @@ int main(int argc, char** argv) {
   }
   const uint32_t buffer = PagesForBufferPercent(**store, 15.0);
 
-  auto no_morph = RunVariant(ctx, store->get(), buffer, true, false, 2);
-  auto with_morph = RunVariant(ctx, store->get(), buffer, true, true, 2);
-  auto serial = RunVariant(ctx, store->get(), buffer, false, false, 1);
+  auto no_morph = RunVariant(store->get(), buffer, true, false, 2);
+  auto with_morph = RunVariant(store->get(), buffer, true, true, 2);
+  auto serial = RunVariant(store->get(), buffer, false, false, 1);
   if (!no_morph.ok() || !with_morph.ok() || !serial.ok()) {
     std::fprintf(stderr, "run failed\n");
     return 1;

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
       std::vector<std::string> row{TablePrinter::Fmt(percent, 0)};
       for (Method method : methods) {
         MethodConfig config;
-        ctx.Apply(&config);
         config.memory_pages = PagesForBufferPercent(**store, percent);
         config.num_threads = 1;
         config.temp_dir = ctx.work_dir;

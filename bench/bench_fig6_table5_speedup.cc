@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
     double opt_base = 0, chi_base = 0, opt_p = 0, chi_p = 0;
     for (uint32_t threads : {1u, 2u, 3u, 4u, 6u}) {
       MethodConfig config;
-      ctx.Apply(&config);
       config.memory_pages = PagesForBufferPercent(**store, 15.0);
       config.num_threads = threads;
       config.temp_dir = ctx.work_dir;
@@ -76,91 +75,6 @@ int main(int argc, char** argv) {
               "(Real CPU speedups require a multi-core host; on 1-core CI "
               "only the I/O-overlap component shows.)\n");
 
-  // Hub-split sweep (DODG bitmap hybrid): OPT on the skewed TWITTER
-  // stand-in under the bitmap kernel at each split point, against the
-  // merge-kernel baseline. Counts must match exactly; the bitmap.*
-  // counters show how much work the hub path absorbed.
-  {
-    const IntersectKernel bitmap_kernel =
-        IntersectKernelSupported(IntersectKernel::kBitmap)
-            ? IntersectKernel::kBitmap
-            : IntersectKernel::kBitmapScalar;
-    auto store = MaterializeDataset(specs[2], ctx.get_env(), ctx.work_dir,
-                                    bench::kPageSize);
-    if (!store.ok()) {
-      std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("\nHub-split sweep: %s, OPT, kernel=%s vs merge baseline\n",
-                specs[2].name.c_str(), IntersectKernelName(bitmap_kernel));
-    MethodConfig config;
-    config.memory_pages = PagesForBufferPercent(**store, 15.0);
-    config.num_threads = std::max(2u, ctx.threads);
-    config.temp_dir = ctx.work_dir;
-    auto baseline = RunMethod(Method::kOpt, store->get(), ctx.get_env(),
-                              config);
-    if (!baseline.ok()) {
-      std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
-      return 1;
-    }
-    TablePrinter table({"hub_split", "threshold", "hubs", "seconds",
-                        "speedup vs merge", "bitmap calls"});
-    table.AddRow({"merge", "-", "-", bench::Secs(baseline->seconds),
-                  TablePrinter::Fmt(1.0, 2), "0"});
-    {
-      bench::JsonObject row;
-      row.Add("config", "hub_sweep/merge")
-          .Add("seconds", baseline->seconds)
-          .Add("speedup_vs_merge", 1.0, 3);
-      report_out.AddRow(std::move(row));
-    }
-    for (const char* split_text : {"off", "p90", "p99", "auto", "0"}) {
-      MethodConfig sweep = config;
-      sweep.kernel = bitmap_kernel;
-      sweep.hub_split = *HubSplitSpec::Parse(split_text);
-      auto result = RunMethod(Method::kOpt, store->get(), ctx.get_env(),
-                              sweep);
-      if (!result.ok()) {
-        std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-        return 1;
-      }
-      if (result->triangles != baseline->triangles) {
-        std::fprintf(stderr,
-                     "hub_split=%s triangle mismatch: %llu vs %llu\n",
-                     split_text,
-                     static_cast<unsigned long long>(result->triangles),
-                     static_cast<unsigned long long>(baseline->triangles));
-        return 1;
-      }
-      const uint64_t bitmap_calls =
-          result->intersect
-              .calls[static_cast<int>(IntersectKernel::kBitmap)] +
-          result->intersect
-              .calls[static_cast<int>(IntersectKernel::kBitmapScalar)];
-      table.AddRow(
-          {split_text,
-           result->hub_bitmaps_built > 0
-               ? TablePrinter::Fmt(uint64_t{result->hub_degree_threshold})
-               : "-",
-           TablePrinter::Fmt(result->hub_bitmaps_built),
-           bench::Secs(result->seconds),
-           TablePrinter::Fmt(baseline->seconds / result->seconds, 2),
-           TablePrinter::Fmt(bitmap_calls)});
-      bench::PrintKernelCounters(split_text, result->intersect,
-                                 result->seconds);
-      bench::JsonObject row;
-      row.Add("config", std::string("hub_sweep/") + split_text)
-          .Add("seconds", result->seconds)
-          .Add("speedup_vs_merge", baseline->seconds / result->seconds, 3)
-          .Add("bitmap_calls", bitmap_calls)
-          .Add("hub_bitmaps_built", result->hub_bitmaps_built)
-          .Add("hub_degree_threshold",
-               uint64_t{result->hub_degree_threshold});
-      report_out.AddRow(std::move(row));
-    }
-    table.Print();
-    std::printf("Counts verified equal across every split point.\n");
-  }
   std::printf("\nJSON:\n%s", report_out.Render().c_str());
   return report_out.MaybeWrite(ctx) ? 0 : 1;
 }

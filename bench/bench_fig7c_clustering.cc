@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
     for (Method method :
          {Method::kOptSerial, Method::kMgt, Method::kOpt}) {
       MethodConfig config;
-      ctx.Apply(&config);
       config.memory_pages = PagesForBufferPercent(**store, 15.0);
       config.num_threads = ctx.threads;
       config.temp_dir = ctx.work_dir;

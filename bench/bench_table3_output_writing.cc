@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
     // OPT_serial.
     {
       OptOptions options;
-      ctx.Apply(&options);
       options.m_in = std::max(buffer / 2, (*store)->MaxRecordPages());
       options.m_ex = std::max(1u, buffer / 2);
       options.macro_overlap = false;
@@ -97,7 +96,6 @@ int main(int argc, char** argv) {
     // emit into the one async sink at once.
     {
       OptOptions options;
-      ctx.Apply(&options);
       options.m_in = std::max(buffer / 2, (*store)->MaxRecordPages());
       options.m_ex = std::max(1u, buffer / 2);
       options.num_threads = 4;

@@ -56,7 +56,7 @@ Status RunMgt(GraphStore* store, TriangleSink* sink,
     OPT_RETURN_IF_ERROR(view.Build(*store, plan.pid_lo, page_data));
 
     // Re-scan the entire graph; every record is an external candidate.
-    ModelScratch scratch;
+    ModelScratch scratch(store->num_vertices());
     OPT_RETURN_IF_ERROR(ScanRecords(
         *store, 0, store->num_pages() - 1,
         [&](VertexId u, std::span<const VertexId> neighbors) {

@@ -1,12 +1,12 @@
 #include "baselines/shrink_loop.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "core/iterator_model.h"
 #include "core/page_range_view.h"
-#include "graph/intersect.h"
 #include "storage/record_scanner.h"
 #include "util/aligned_buffer.h"
 #include "util/stopwatch.h"
@@ -109,16 +109,17 @@ Status RunShrinkLoop(GraphStore* input, Env* env, TriangleSink* sink,
     // (i) Triangles whose two lowest vertices are both in the batch —
     // parallelizable (GraphChi-Tri parallelizes exactly this portion).
     Stopwatch parallel_watch;
-    // ParallelFor helpers start with no IntersectScope: carry the caller's.
-    const IntersectKernel kernel = ActiveIntersectKernel();
-    ParallelFor(plan.v_lo, static_cast<size_t>(plan.v_hi) + 1,
-                options.num_threads, [&](size_t u) {
-                  IntersectScope intersect_scope(kernel);
-                  ModelScratch scratch;
-                  model.InternalTriangles(view, plan,
-                                          static_cast<VertexId>(u), sink,
-                                          &scratch);
-                });
+    // One scratch (a |V|-bit marker) per worker; workers claim vertices
+    // dynamically.
+    const uint32_t workers = std::max(1u, options.num_threads);
+    std::atomic<uint64_t> next_vertex{plan.v_lo};
+    ParallelFor(0, workers, workers, [&](size_t) {
+      ModelScratch scratch(current->num_vertices());
+      for (uint64_t u; (u = next_vertex.fetch_add(1)) <= plan.v_hi;) {
+        model.InternalTriangles(view, plan, static_cast<VertexId>(u), sink,
+                                &scratch);
+      }
+    });
     local.parallel_seconds += parallel_watch.ElapsedSeconds();
 
     // (ii) Stream the remainder: triangles with min vertex in the batch
@@ -127,7 +128,7 @@ Status RunShrinkLoop(GraphStore* input, Env* env, TriangleSink* sink,
     Stopwatch serial_watch;
     if (plan.pid_hi < current->num_pages() - 1 ||
         plan.v_hi < current->num_vertices() - 1) {
-      ModelScratch scratch;
+      ModelScratch scratch(current->num_vertices());
       OPT_RETURN_IF_ERROR(ScanRecords(
           *current, plan.pid_hi, current->num_pages() - 1,
           [&](VertexId x, std::span<const VertexId> neighbors) {

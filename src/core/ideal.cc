@@ -1,12 +1,13 @@
 #include "core/ideal.h"
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "util/aligned_buffer.h"
 
 #include "core/page_range_view.h"
-#include "graph/intersect.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -43,17 +44,20 @@ Status RunIdeal(GraphStore* store, const IteratorModel& model,
   plan.pid_lo = 0;
   plan.pid_hi = pages - 1;
 
-  // ParallelFor helpers start with no IntersectScope: carry the caller's.
-  const IntersectKernel kernel = ActiveIntersectKernel();
-  ParallelFor(0, pages, num_threads, [&](size_t pid) {
-    IntersectScope intersect_scope(kernel);
-    ModelScratch scratch;
-    PageView page(page_data[pid], page_size);
-    const uint32_t slots = page.num_slots();
-    for (uint32_t s = 0; s < slots; ++s) {
-      const Segment seg = page.GetSegment(s);
-      if (!seg.IsFirstSegment()) continue;
-      model.InternalTriangles(view, plan, seg.vertex, sink, &scratch);
+  // One scratch (a |V|-bit marker) per worker; workers claim pages
+  // dynamically, like Algorithm 5's page-parallel loop.
+  const uint32_t workers = std::clamp(num_threads, 1u, pages);
+  std::atomic<uint32_t> next_page{0};
+  ParallelFor(0, workers, workers, [&](size_t) {
+    ModelScratch scratch(store->num_vertices());
+    for (uint32_t pid; (pid = next_page.fetch_add(1)) < pages;) {
+      PageView page(page_data[pid], page_size);
+      const uint32_t slots = page.num_slots();
+      for (uint32_t s = 0; s < slots; ++s) {
+        const Segment seg = page.GetSegment(s);
+        if (!seg.IsFirstSegment()) continue;
+        model.InternalTriangles(view, plan, seg.vertex, sink, &scratch);
+      }
     }
   });
   const double cpu_seconds = cpu_watch.ElapsedSeconds();

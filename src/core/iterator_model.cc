@@ -1,11 +1,85 @@
 #include "core/iterator_model.h"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 
 namespace opt {
+
+namespace {
+
+/// Mark-and-probe over one successor list: construction sets the list's
+/// bits in the scratch marker, Probe intersects any sorted list with it
+/// by bit tests, and destruction zeroes exactly the words it set. One
+/// loaded list is thus walked twice in all, however many lists it meets,
+/// where a pairwise merge walks it once per partner.
+class MarkedList {
+ public:
+  MarkedList(std::span<const VertexId> list, ModelScratch* scratch)
+      : list_(list), scratch_(scratch) {
+    if (list_.empty()) return;
+    DenseBitmap& marker = scratch_->marker;
+    if (list_.back() >= marker.universe()) {
+      // A scratch built without |V|, or a damaged record whose ids pass
+      // |V| (loaded records are not range-checked), grows the marker
+      // instead of writing past it. Growing reallocates; the marker is
+      // all zero here, so nothing is lost, and doubling bounds the
+      // number of growths by log |V|.
+      const uint64_t wanted = std::max<uint64_t>(
+          uint64_t{list_.back()} + 1, uint64_t{marker.universe()} * 2);
+      marker.Reset(static_cast<VertexId>(std::min<uint64_t>(
+          wanted, std::numeric_limits<VertexId>::max())));
+    }
+    marker.SetFrom(list_);
+  }
+  ~MarkedList() {
+    if (!list_.empty()) scratch_->marker.ClearFrom(list_);
+  }
+  MarkedList(const MarkedList&) = delete;
+  MarkedList& operator=(const MarkedList&) = delete;
+
+  /// The marked list ∩ `probe`, sorted, in scratch->intersection. Only
+  /// ids in [list.front(), list.back()] can be marked, so the probe is
+  /// clamped to that range first.
+  const std::vector<VertexId>& Probe(std::span<const VertexId> probe) {
+    std::vector<VertexId>& out = scratch_->intersection;
+    out.clear();
+    if (list_.empty()) return out;
+    const VertexId* end = probe.data() + probe.size();
+    const VertexId* first = std::lower_bound(probe.data(), end, list_.front());
+    const VertexId* last = std::upper_bound(first, end, list_.back());
+    if (first != last) {
+      IntersectBitmapSparseWith(IntersectKernel::kBitmapScalar,
+                                {first, last}, scratch_->marker, &out);
+    }
+    return out;
+  }
+
+ private:
+  std::span<const VertexId> list_;
+  ModelScratch* scratch_;
+};
+
+/// Algorithms 6 and 11 (they find the same sets): for every resident
+/// v ∈ n_succ(u), W_uv = n_succ(u) ∩ n_succ(v). Algorithm 11 phrases it
+/// as w ∈ n_succ(u), w > v, (v, w) ∈ E_in, which is the same set because
+/// n_succ(v) lies above v. n_succ(u) is marked once for all its v.
+void InternalPairs(const PageRangeView& internal, const IterationPlan& plan,
+                   VertexId u, TriangleSink* sink, ModelScratch* scratch) {
+  const auto succ_u = internal.Get(u).succ();
+  // Sorted: when the first successor is external, so are all of them.
+  if (succ_u.empty() || succ_u.front() > plan.v_hi) return;
+  MarkedList marked(succ_u, scratch);
+  for (VertexId v : succ_u) {
+    if (v > plan.v_hi) break;  // the rest are external pairs
+    const auto& ws = marked.Probe(internal.Get(v).succ());
+    if (!ws.empty()) sink->Emit(u, v, ws);
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // EdgeIterator instance (Algorithms 6, 8, 10).
@@ -15,19 +89,7 @@ void EdgeIteratorModel::InternalTriangles(const PageRangeView& internal,
                                           const IterationPlan& plan,
                                           VertexId u, TriangleSink* sink,
                                           ModelScratch* scratch) const {
-  const AdjacencyRef au = internal.Get(u);
-  const auto succ_u = au.succ();
-  for (VertexId v : succ_u) {
-    if (v > plan.v_hi) break;  // sorted: the rest are external pairs
-    const AdjacencyRef av = internal.Get(v);
-    scratch->intersection.clear();
-    // Hub-routed: both spans are slices of full adjacencies, so the
-    // bitmap path (when v or u is a hub) is exact.
-    Intersect(u, v, succ_u, av.succ(), &scratch->intersection);
-    if (!scratch->intersection.empty()) {
-      sink->Emit(u, v, scratch->intersection);
-    }
-  }
+  InternalPairs(internal, plan, u, sink, scratch);
 }
 
 void EdgeIteratorModel::CollectCandidates(const IterationPlan& plan,
@@ -52,19 +114,14 @@ void EdgeIteratorModel::ExternalTriangles(const PageRangeView& internal,
   const auto prec = external_adj.prec();
   auto lo = std::lower_bound(prec.begin(), prec.end(), plan.v_lo);
   auto hi = std::upper_bound(lo, prec.end(), plan.v_hi);
-  const auto succ_v = external_adj.succ();
+  if (lo == hi) return;
+  // Algorithm 10: W_uv = n_succ(u) ∩ n_succ(v) for every requester u,
+  // with the loaded n_succ(v) marked once for all of them.
+  MarkedList marked(external_adj.succ(), scratch);
   for (auto it = lo; it != hi; ++it) {
     const VertexId u = *it;
-    const AdjacencyRef au = internal.Get(u);
-    scratch->intersection.clear();
-    // Algorithm 10: W_uv = n_succ(u) ∩ n_succ(v). Hub-routed: u is an
-    // internal vertex (it may own a bitmap); the external vertex never
-    // does, so this pair takes at most the sparse-probe path.
-    Intersect(u, external_vertex, au.succ(), succ_v,
-              &scratch->intersection);
-    if (!scratch->intersection.empty()) {
-      sink->Emit(u, external_vertex, scratch->intersection);
-    }
+    const auto& ws = marked.Probe(internal.Get(u).succ());
+    if (!ws.empty()) sink->Emit(u, external_vertex, ws);
   }
 }
 
@@ -76,27 +133,7 @@ void VertexIteratorModel::InternalTriangles(const PageRangeView& internal,
                                             const IterationPlan& plan,
                                             VertexId u, TriangleSink* sink,
                                             ModelScratch* scratch) const {
-  // Algorithm 11: for v in n_succ(u) with n(v) resident, check every
-  // (v, w) combination with w in n_succ(u), id(w) > id(v), against E_in.
-  const AdjacencyRef au = internal.Get(u);
-  const auto succ_u = au.succ();
-  for (size_t i = 0; i < succ_u.size(); ++i) {
-    const VertexId v = succ_u[i];
-    if (v > plan.v_hi) break;
-    const AdjacencyRef av = internal.Get(v);
-    const auto succ_v = av.succ();
-    scratch->intersection.clear();
-    for (size_t j = i + 1; j < succ_u.size(); ++j) {
-      const VertexId w = succ_u[j];
-      // (v, w) ∈ E_in ⟺ w ∈ n(v); w > v so search n_succ(v).
-      if (std::binary_search(succ_v.begin(), succ_v.end(), w)) {
-        scratch->intersection.push_back(w);
-      }
-    }
-    if (!scratch->intersection.empty()) {
-      sink->Emit(u, v, scratch->intersection);
-    }
-  }
+  InternalPairs(internal, plan, u, sink, scratch);
 }
 
 void VertexIteratorModel::CollectCandidates(const IterationPlan& plan,
@@ -121,21 +158,14 @@ void VertexIteratorModel::ExternalTriangles(const PageRangeView& internal,
   const auto succ_u = external_adj.succ();
   auto lo = std::lower_bound(succ_u.begin(), succ_u.end(), plan.v_lo);
   auto hi = std::upper_bound(lo, succ_u.end(), plan.v_hi);
+  if (lo == hi) return;
+  // Algorithm 13: w ∈ n_succ(u) with id(w) > id(v) and (v, w) ∈ E_in,
+  // i.e. n_succ(u) ∩ n_succ(v); the loaded n_succ(u) is marked once.
+  MarkedList marked(succ_u, scratch);
   for (auto it = lo; it != hi; ++it) {
     const VertexId v = *it;
-    const AdjacencyRef av = internal.Get(v);
-    const auto succ_v = av.succ();
-    scratch->intersection.clear();
-    // Algorithm 13: w ∈ n_succ(u) with id(w) > id(v) and (v, w) ∈ E_in.
-    for (auto jt = std::upper_bound(succ_u.begin(), succ_u.end(), v);
-         jt != succ_u.end(); ++jt) {
-      if (std::binary_search(succ_v.begin(), succ_v.end(), *jt)) {
-        scratch->intersection.push_back(*jt);
-      }
-    }
-    if (!scratch->intersection.empty()) {
-      sink->Emit(u, v, scratch->intersection);
-    }
+    const auto& ws = marked.Probe(internal.Get(v).succ());
+    if (!ws.empty()) sink->Emit(u, v, ws);
   }
 }
 

@@ -10,14 +10,26 @@
 
 #include "core/page_range_view.h"
 #include "core/triangle_sink.h"
+#include "graph/intersect.h"
 #include "storage/graph_store.h"
 #include "storage/page.h"
 
 namespace opt {
 
 /// Reusable per-thread scratch to keep the inner loops allocation-free.
-struct ModelScratch {
+/// Both models intersect by mark-and-probe: the bits of one successor
+/// list are set in `marker`, every list it meets is probed against them,
+/// and the set words are zeroed again, so `marker` is all zero between
+/// calls. A marker too small for the ids it meets grows (a reallocation),
+/// so callers that know |V| size it up front. Each scratch starts on its
+/// own cache line: per-thread scratches sit side by side in one vector,
+/// and their owners write them on every probe.
+struct alignas(64) ModelScratch {
+  ModelScratch() = default;
+  explicit ModelScratch(VertexId universe) : marker(universe) {}
+
   std::vector<VertexId> intersection;
+  DenseBitmap marker;
 };
 
 class IteratorModel {

@@ -35,15 +35,9 @@ struct RunCounters {
   Counter* external_cache_hits =
       Metrics().GetCounter("opt.external.cache_hits");
   /// Per-kernel intersection activity (opt.intersect.<kernel>.calls /
-  /// .elements — the bitmap.* counters of the hub path live here too).
+  /// .elements; the models' mark-and-probe counts as bitmap_scalar).
   Counter* intersect_calls[kNumIntersectKernels];
   Counter* intersect_elements[kNumIntersectKernels];
-  /// Hub routing: bitmaps materialized, and the last run's footprint.
-  Counter* hub_bitmaps_built = Metrics().GetCounter("opt.hub.bitmaps_built");
-  Gauge* hub_bitmap_peak_bytes =
-      Metrics().GetGauge("opt.hub.bitmap_peak_bytes");
-  Gauge* hub_degree_threshold =
-      Metrics().GetGauge("opt.hub.degree_threshold");
   /// PMU deltas (DESIGN.md §13). Totals plus a per-phase breakdown so
   /// STATS can answer "where do the cycles go" without a trace. The
   /// populated subset depends on perf.backend — cycles/LLC columns stay
@@ -103,13 +97,6 @@ void PublishRunStats(const OptRunStats& stats) {
   for (int k = 0; k < kNumIntersectKernels; ++k) {
     counters.intersect_calls[k]->Increment(stats.intersect.calls[k]);
     counters.intersect_elements[k]->Increment(stats.intersect.elements[k]);
-  }
-  if (stats.hub_bitmaps_built > 0) {
-    counters.hub_bitmaps_built->Increment(stats.hub_bitmaps_built);
-    counters.hub_bitmap_peak_bytes->Set(
-        static_cast<int64_t>(stats.hub_bitmap_peak_bytes));
-    counters.hub_degree_threshold->Set(
-        static_cast<int64_t>(stats.hub_degree_threshold));
   }
   const PerfReading total = stats.PerfTotal();
   counters.perf_cycles->Increment(total.cycles);
@@ -172,14 +159,11 @@ struct RunContext {
   std::vector<const char*> internal_page_data;
   PageRangeView internal_view;
 
-  // The run's resolved kernel, installed with the hub index in an
-  // IntersectScope around every work unit. Hub routing (bitmap kernels):
-  // the index is rebuilt from the internal view at the end of phase B
-  // and read-only while phase C workers run, so no synchronization is
-  // needed beyond the thread spawn/join edges.
-  IntersectKernel kernel = IntersectKernel::kAuto;
-  bool hub_routing = false;
-  HubBitmapIndex hub_index;
+  // One model scratch per phase-C thread slot (0 = main thread,
+  // 1 = callback thread, t = flex worker t), built once per run. Each
+  // holds a |V|-bit successor marker, so helpers spawned per iteration
+  // reuse their slot's marker instead of allocating one.
+  std::vector<ModelScratch> scratch;
 
   // External candidates of the current iteration: one bit per vertex of
   // the store (|V|/8 bytes for the whole run). Phase A's completion
@@ -337,8 +321,6 @@ uint64_t PlanChunks(RunContext* ctx, std::vector<Chunk>* chunks) {
 void ProcessInternalPage(RunContext* ctx, uint32_t page_index,
                          ModelScratch* scratch) {
   Stopwatch watch;
-  IntersectScope intersect_scope(
-      ctx->kernel, ctx->hub_routing ? &ctx->hub_index : nullptr);
   OverlapProfiler::SetWork(/*internal_work=*/true);
   if (!ctx->CheckCancel()) {
     PageView page(ctx->internal_page_data[page_index],
@@ -372,6 +354,11 @@ bool RunOneInternalUnit(RunContext* ctx, ModelScratch* scratch) {
 
 void SubmitChunk(RunContext* ctx, Chunk chunk);
 
+/// The scratch of the thread running DrainExternal. Chunk callbacks are
+/// completion tasks, and only DrainExternal runs them in phase C, so
+/// ProcessChunk finds its thread's scratch here.
+thread_local ModelScratch* t_drain_scratch = nullptr;
+
 /// The L_now/L_later regulator of Algorithm 4: submits queued chunks
 /// while the in-flight external page budget (m_ex) allows. Completions
 /// return budget and pump again, which realizes Algorithm 9's chained
@@ -404,8 +391,6 @@ void PumpExternal(RunContext* ctx) {
 void ProcessChunk(RunContext* ctx, Chunk chunk,
                   std::vector<Frame*> frames) {
   Stopwatch watch;
-  IntersectScope intersect_scope(
-      ctx->kernel, ctx->hub_routing ? &ctx->hub_index : nullptr);
   TraceSpan chunk_span(
       "opt", "external.chunk",
       CurrentTraceRecorder() != nullptr
@@ -441,7 +426,7 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
     if (!s.ok()) {
       ctx->RecordError(s);
     } else {
-      ModelScratch scratch;
+      ModelScratch* scratch = t_drain_scratch;
       for (VertexId v : chunk.candidates) {
         // Refresh the slot each candidate so a long chunk never trips
         // the sampler's stall guard mid-CPU-burst.
@@ -453,7 +438,7 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
           break;
         }
         ctx->model->ExternalTriangles(ctx->internal_view, ctx->plan, v,
-                                      view.Get(v), ctx->sink, &scratch);
+                                      view.Get(v), ctx->sink, scratch);
       }
     }
   }
@@ -588,6 +573,7 @@ bool ExternalDone(RunContext* ctx) { return ctx->group_ex.Finished(); }
 /// morphing, steals internal pages while the queue is empty.
 void DrainExternal(RunContext* ctx, bool allow_morph,
                    ModelScratch* scratch) {
+  t_drain_scratch = scratch;
   bool morph_traced = false;
   while (!ExternalDone(ctx)) {
     if (auto task = ctx->completions.TryPop()) {
@@ -610,6 +596,7 @@ void DrainExternal(RunContext* ctx, bool allow_morph,
     OverlapProfiler::SetRole(ThreadRole::kIoWait);
     if (auto task = ctx->completions.PopFor(200)) (*task)();
   }
+  t_drain_scratch = nullptr;
 }
 
 /// The callback-thread role for one iteration's overlapped phase:
@@ -619,22 +606,23 @@ void CallbackRole(RunContext* ctx) {
   OverlapProfiler::ThreadScope profile_scope(ctx->profiler,
                                              ThreadRole::kExternal);
   PerfScope perf_scope(ctx->PerfSink(&ctx->perf_c));
-  ModelScratch scratch;
-  DrainExternal(ctx, ctx->options.thread_morphing, &scratch);
+  ModelScratch* scratch = &ctx->scratch[1];
+  DrainExternal(ctx, ctx->options.thread_morphing, scratch);
   if (ctx->options.thread_morphing) {
-    while (RunOneInternalUnit(ctx, &scratch)) {
+    while (RunOneInternalUnit(ctx, scratch)) {
     }
   }
 }
 
 /// Extra workers prefer internal pages, then morph into callbacks.
-void FlexRole(RunContext* ctx) {
+/// `slot` indexes the worker's scratch.
+void FlexRole(RunContext* ctx, uint32_t slot) {
   TraceSpan role_span("opt", "internal.flex_role");
   OverlapProfiler::ThreadScope profile_scope(ctx->profiler,
                                              ThreadRole::kInternal);
   PerfScope perf_scope(ctx->PerfSink(&ctx->perf_c));
-  ModelScratch scratch;
-  while (RunOneInternalUnit(ctx, &scratch)) {
+  ModelScratch* scratch = &ctx->scratch[slot];
+  while (RunOneInternalUnit(ctx, scratch)) {
   }
   if (ctx->options.thread_morphing) {
     if (!ExternalDone(ctx)) {
@@ -644,7 +632,7 @@ void FlexRole(RunContext* ctx) {
         ctx->flight->Record(FlightEventType::kMorphToExternal);
       }
     }
-    DrainExternal(ctx, /*allow_morph=*/true, &scratch);
+    DrainExternal(ctx, /*allow_morph=*/true, scratch);
   }
 }
 
@@ -676,9 +664,6 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
   if (options_.m_in == 0 || options_.m_ex == 0) {
     return Status::InvalidArgument("m_in and m_ex must be positive");
   }
-  OPT_ASSIGN_OR_RETURN(
-      const IntersectKernel kernel,
-      ResolveIntersectKernel(options_.kernel.value_or(IntersectKernel::kAuto)));
   if (options_.m_in < store_->MaxRecordPages()) {
     return Status::ResourceExhausted(
         "internal area (" + std::to_string(options_.m_in) +
@@ -743,28 +728,16 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
   ctx.engine = &engine;
   ctx.profiler = profiler.has_value() ? &*profiler : nullptr;
   ctx.flight = options_.flight;
-  ctx.kernel = kernel;
 
   OptRunStats run_stats;
-  // Hub routing applies only under a bitmap kernel. Resolve the split
-  // against the store's full-degree histogram once per run; per-hub
-  // bitmaps are then materialized each iteration from the internal area.
-  if (IsBitmapKernel(kernel)) {
-    const HubSplitSpec split = options_.hub_split.value_or(HubSplitSpec());
-    if (split.mode != HubSplitSpec::Mode::kOff) {
-      OPT_ASSIGN_OR_RETURN(const std::vector<uint32_t> degrees,
-                           store_->ComputeDegrees());
-      const uint32_t threshold = ResolveHubDegreeThreshold(
-          split, degrees, store_->num_vertices());
-      if (threshold != kNoHubThreshold) {
-        ctx.hub_index.Reset(store_->num_vertices(), threshold);
-        ctx.hub_routing = true;
-        run_stats.hub_degree_threshold = threshold;
-      }
-    }
-  }
   const VertexId n = store_->num_vertices();
   ctx.candidate_bits.assign((static_cast<size_t>(n) + 63) / 64, 0);
+  // Phase C's thread slots: the main thread, plus with macro overlap the
+  // callback thread and num_threads - 2 flex workers.
+  const uint32_t slots =
+      options_.macro_overlap ? std::max(options_.num_threads, 2u) : 1u;
+  ctx.scratch.reserve(slots);
+  for (uint32_t t = 0; t < slots; ++t) ctx.scratch.emplace_back(n);
   VertexId v_start = 0;
   while (v_start < n && !ctx.CheckCancel()) {
     OPT_ASSIGN_OR_RETURN(ctx.plan,
@@ -899,22 +872,6 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
       break;
     }
 
-    // Materialize this iteration's hub bitmaps from the internal view —
-    // after the view is built, before any phase C thread spawns, so the
-    // index is immutable while workers read it through IntersectScope.
-    if (ctx.hub_routing) {
-      ctx.hub_index.Clear();
-      for (VertexId v = ctx.plan.v_lo; v <= ctx.plan.v_hi; ++v) {
-        if (ctx.internal_view.HasFull(v)) {
-          ctx.hub_index.Add(v, ctx.internal_view.Get(v).all);
-        }
-      }
-      run_stats.hub_bitmaps_built += ctx.hub_index.num_hubs();
-      run_stats.hub_bitmap_peak_bytes = std::max(
-          run_stats.hub_bitmap_peak_bytes,
-          static_cast<uint64_t>(ctx.hub_index.memory_bytes()));
-    }
-
     // Group candidates into page-run chunks, then order them by
     // descending page id so the pages nearest the internal area are
     // loaded last and survive in the pool for the next iteration.
@@ -954,14 +911,14 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
       std::vector<std::thread> helpers;
       helpers.emplace_back(CallbackRole, &ctx);
       for (uint32_t t = 2; t < options_.num_threads; ++t) {
-        helpers.emplace_back(FlexRole, &ctx);
+        helpers.emplace_back(FlexRole, &ctx, t);
       }
       // Main thread: internal triangulation, then morph into a callback
       // drainer (or plain wait when morphing is off).
-      ModelScratch scratch;
+      ModelScratch* scratch = &ctx.scratch[0];
       {
         TraceSpan internal_span("opt", "internal.main");
-        while (RunOneInternalUnit(&ctx, &scratch)) {
+        while (RunOneInternalUnit(&ctx, scratch)) {
         }
       }
       if (options_.thread_morphing) {
@@ -972,7 +929,7 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
             ctx.flight->Record(FlightEventType::kMorphToExternal);
           }
         }
-        DrainExternal(&ctx, /*allow_morph=*/true, &scratch);
+        DrainExternal(&ctx, /*allow_morph=*/true, scratch);
       }
       OverlapProfiler::SetRole(ThreadRole::kIoWait);
       ctx.group_ex.Wait();
@@ -980,13 +937,13 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     } else {
       // OPT_serial: internal first, then external, one thread. The async
       // reads issued above progress meanwhile (micro-level overlap).
-      ModelScratch scratch;
+      ModelScratch* scratch = &ctx.scratch[0];
       {
         TraceSpan internal_span("opt", "internal.main");
-        while (RunOneInternalUnit(&ctx, &scratch)) {
+        while (RunOneInternalUnit(&ctx, scratch)) {
         }
       }
-      DrainExternal(&ctx, /*allow_morph=*/false, &scratch);
+      DrainExternal(&ctx, /*allow_morph=*/false, scratch);
       OverlapProfiler::SetRole(ThreadRole::kIoWait);
       ctx.group_ex.Wait();
     }

@@ -10,12 +10,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/iterator_model.h"
 #include "core/triangle_sink.h"
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "obs/flight_recorder.h"
 #include "obs/overlap_profiler.h"
@@ -54,19 +52,6 @@ struct OptOptions {
   /// fill (the Δin saving of §3.3). False loads in ascending page
   /// order — an ablation knob that forfeits the saving.
   bool backward_external_order = true;
-  /// Intersection kernel for the run's inner loops (ablation knob).
-  /// Unset means auto (the best CPU-supported merge kernel). Run()
-  /// resolves it once — an unsupported kernel fails with
-  /// InvalidArgument — and installs it, with the run's hub index, in an
-  /// IntersectScope around every work unit on every worker thread, so
-  /// concurrent runners with different kernels never observe each other.
-  std::optional<IntersectKernel> kernel;
-  /// Hub/tail split for the bitmap kernels (`--hub_split`). Only
-  /// consulted when the run's kernel is a bitmap kernel: the run scans
-  /// the store's degree histogram once, resolves the split to a degree
-  /// threshold, and materializes per-hub bitmaps each iteration from the
-  /// internal area. Unset means `auto`.
-  std::optional<HubSplitSpec> hub_split;
   /// Externally owned pool (service mode). Pages survive across runs,
   /// so repeated queries hit instead of re-reading — the Δ I/O saving
   /// amortized across a workload — and concurrent queries share frames.
@@ -142,12 +127,6 @@ struct OptRunStats {
   double parallel_seconds = 0;
   /// Summed per-kernel intersection counters across iterations.
   IntersectCounters intersect;
-  /// Hub routing (bitmap kernels only; all zero otherwise): the degree
-  /// threshold the split resolved to, bitmaps materialized summed across
-  /// iterations, and the largest bitmap footprint of any iteration.
-  uint32_t hub_degree_threshold = 0;
-  uint64_t hub_bitmaps_built = 0;
-  uint64_t hub_bitmap_peak_bytes = 0;
   std::vector<IterationStats> per_iteration;
   /// Hardware/software counter deltas per phase (A = internal fill,
   /// B = external planning, C = overlapped triangulation), summed over

@@ -1,14 +1,17 @@
 // DODG-style hub routing for the bitmap intersection kernels. On skewed
 // graphs a handful of hub vertices dominate intersected elements; this
-// layer picks a degree split point from the degree histogram (the
-// `--hub_split` knob), materializes a DenseBitmap of each hub's full
+// layer picks a degree split point from the degree histogram (a
+// HubSplitSpec), materializes a DenseBitmap of each hub's full
 // adjacency, and routes hub–hub pairs to dense × dense AND+popcount and
 // hub–tail pairs to sparse bit-probes, while the long tail keeps the
 // merge/galloping kernels.
 //
+// Only bench_micro routes through it today: OPT intersects by
+// mark-and-probe on a per-thread marker instead (core/iterator_model.cc).
+//
 // Correctness invariant (why the clamping below is exact): every span
-// the iterator models intersect — succ(v), prec(v), or any page-frame
-// slice — is a *contiguous* slice of v's full sorted adjacency. So a
+// a caller intersects — succ(v), prec(v), or any page-frame slice — is
+// a *contiguous* slice of v's full sorted adjacency. So a
 // span equals n(v) ∩ [span.front(), span.back()], and intersecting two
 // spans equals intersecting the full adjacencies clamped to the overlap
 // of their value ranges. The bitmap holds full n(v); the clamp
@@ -30,8 +33,8 @@ namespace opt {
 /// Degree threshold meaning "no vertex is a hub" (the `off` split).
 inline constexpr uint32_t kNoHubThreshold = 0xFFFFFFFFu;
 
-/// The `--hub_split` knob: where the degree histogram is cut between
-/// tail (merge kernels) and hub (bitmap kernels).
+/// Where the degree histogram is cut between tail (merge kernels) and
+/// hub (bitmap kernels).
 struct HubSplitSpec {
   enum class Mode : uint8_t {
     kOff,         // no hubs; bitmap kernels fall back to merge everywhere

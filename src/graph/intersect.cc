@@ -664,6 +664,14 @@ void DenseBitmap::SetFrom(std::span<const VertexId> sorted_ids) {
   }
 }
 
+void DenseBitmap::ClearFrom(std::span<const VertexId> ids) {
+  for (VertexId v : ids) {
+    uint64_t& word = words_[v >> 6];
+    popcount_ -= static_cast<uint64_t>(__builtin_popcountll(word));
+    word = 0;
+  }
+}
+
 uint64_t IntersectCountBitmapSparseWith(IntersectKernel kernel,
                                         std::span<const VertexId> sparse,
                                         const DenseBitmap& dense) {

@@ -1,5 +1,7 @@
-// Sorted-list intersection kernels — the inner loop of every iterator
-// model. Two scalar strategies: linear merge and galloping (for skewed
+// Sorted-list intersection kernels — the inner loop of the in-memory
+// paths (the oracle, 4-clique, k-truss, distsim, the delta overlay).
+// The iterator models use only the bitmap sparse probe below, by
+// mark-and-probe (core/iterator_model.cc). Two scalar strategies: linear merge and galloping (for skewed
 // list sizes). Both also exist as AVX2 kernels (8-wide block-merge with
 // cmpeq/permute compaction; galloping with a vectorized lower-bound
 // probe), selected by a cpuid feature check so one binary runs the best
@@ -194,6 +196,11 @@ class DenseBitmap {
   /// duplicates collapse). Callable repeatedly; bits accumulate.
   void SetFrom(std::span<const VertexId> sorted_ids);
 
+  /// Zeroes every word that holds one of `ids` (each < universe()).
+  /// After SetFrom(ids) on an empty bitmap this empties it again in
+  /// O(|ids|), without touching the rest of the universe.
+  void ClearFrom(std::span<const VertexId> ids);
+
   bool Test(VertexId v) const {
     return (words_[v >> 6] >> (v & 63)) & 1u;
   }
@@ -234,7 +241,7 @@ size_t IntersectBitmapDenseWith(IntersectKernel kernel, const DenseBitmap& a,
                                 std::vector<VertexId>* out);
 
 // ---------------------------------------------------------------------------
-// Dispatched adaptive entry points (what the iterator models call):
+// Dispatched adaptive entry points (what the in-memory paths call):
 // picks merge vs galloping from the size ratio, then runs this thread's
 // ActiveIntersectKernel().
 // ---------------------------------------------------------------------------

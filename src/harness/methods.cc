@@ -49,8 +49,6 @@ Result<MethodResult> RunOptVariant(Method method, GraphStore* store,
   options.m_ex = half;
   options.io_queue_depth = config.io_queue_depth;
   options.num_threads = config.num_threads;
-  options.kernel = config.kernel;
-  options.hub_split = config.hub_split;
   switch (method) {
     case Method::kOptSerial:
       options.macro_overlap = false;
@@ -81,8 +79,6 @@ Result<MethodResult> RunOptVariant(Method method, GraphStore* store,
   result.pages_read = stats.internal_pages_read + stats.external_pages_read;
   result.iterations = stats.iterations;
   result.parallel_fraction = stats.ParallelFraction();
-  result.hub_degree_threshold = stats.hub_degree_threshold;
-  result.hub_bitmaps_built = stats.hub_bitmaps_built;
   return result;
 }
 
@@ -171,14 +167,9 @@ Result<MethodResult> RunMethodImpl(Method method, GraphStore* store, Env* env,
 
 Result<MethodResult> RunMethod(Method method, GraphStore* store, Env* env,
                                const MethodConfig& config) {
-  OPT_ASSIGN_OR_RETURN(
-      const IntersectKernel kernel,
-      ResolveIntersectKernel(config.kernel.value_or(IntersectKernel::kAuto)));
-  IntersectScope intersect_scope(kernel);
   const IntersectCounters before = SnapshotIntersectCounters();
   Result<MethodResult> result = RunMethodImpl(method, store, env, config);
   if (result.ok()) {
-    result->kernel_used = kernel;
     result->intersect =
         IntersectCounters::Delta(SnapshotIntersectCounters(), before);
   }

@@ -4,10 +4,8 @@
 #define OPT_HARNESS_METHODS_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "storage/env.h"
 #include "storage/graph_store.h"
@@ -37,14 +35,6 @@ struct MethodConfig {
   uint32_t num_threads = 2;
   uint32_t io_queue_depth = 16;
   std::string temp_dir = "/tmp";
-  /// Intersection kernel ablation knob; unset means auto (best
-  /// CPU-supported). Applies to every method: RunMethod installs it in
-  /// an IntersectScope for the run, and the OPT variants pass it on.
-  std::optional<IntersectKernel> kernel;
-  /// Hub/tail split for the bitmap kernels (`--hub_split`); only the
-  /// OPT variants consult it, and only under a bitmap kernel. Unset
-  /// means auto.
-  std::optional<HubSplitSpec> hub_split;
 };
 
 struct MethodResult {
@@ -56,13 +46,9 @@ struct MethodResult {
   uint32_t iterations = 0;
   /// Amdahl parallel fraction where the method reports one (else 0).
   double parallel_fraction = 0;
-  /// Kernel this invocation ran (kAuto already resolved).
-  IntersectKernel kernel_used = IntersectKernel::kScalar;
-  /// Per-kernel intersection counters, measured across this run.
+  /// Per-kernel intersection counters, measured across this run
+  /// (process-wide, so concurrent runs mix their counts).
   IntersectCounters intersect;
-  /// Hub routing (OPT variants under a bitmap kernel; zero otherwise).
-  uint32_t hub_degree_threshold = 0;
-  uint64_t hub_bitmaps_built = 0;
 };
 
 /// Runs `method` on `store`, counting triangles.

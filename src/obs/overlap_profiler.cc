@@ -73,8 +73,11 @@ uint64_t OverlapProfiler::NowMicros() const {
 
 void OverlapProfiler::Stop() {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (stopped_) return;
+    // The sampler takes its first sample as it starts; waiting for it
+    // gives a run shorter than one period a sample too.
+    cv_.wait(lock, [&] { return report_.samples > 0; });
     stop_requested_ = true;
     cv_.notify_all();
   }
@@ -100,10 +103,8 @@ void OverlapProfiler::SamplerLoop() {
       static_cast<uint64_t>(options_.stall_periods) * options_.period_micros;
   uint64_t last_pages_read = pages_read_counter->value();
   std::unique_lock<std::mutex> lock(mutex_);
+  // Sample first, then wait a period: the first sample is taken at start.
   for (;;) {
-    cv_.wait_for(lock, std::chrono::microseconds(options_.period_micros),
-                 [&] { return stop_requested_; });
-    if (stop_requested_) return;
     const uint64_t now = NowMicros();
     coarse_now_micros_.store(now, std::memory_order_relaxed);
     uint32_t internal_active = 0;
@@ -146,6 +147,10 @@ void OverlapProfiler::SamplerLoop() {
       TraceCounter("overlap", "overlap.io_inflight",
                    "\"value\":" + std::to_string(inflight > 0 ? inflight : 0));
     }
+    if (report_.samples == 1) cv_.notify_all();  // Stop() waits for it
+    cv_.wait_for(lock, std::chrono::microseconds(options_.period_micros),
+                 [&] { return stop_requested_; });
+    if (stop_requested_) return;
   }
 }
 

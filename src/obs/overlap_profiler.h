@@ -9,8 +9,8 @@
 //
 // Worker threads register a per-thread slot (ThreadScope) and publish
 // their current role into it with one relaxed atomic store at each role
-// transition; a dedicated sampler thread wakes every `period_micros`,
-// snapshots every slot plus the process-wide `io.inflight_depth` gauge
+// transition; a dedicated sampler thread samples as it starts and then
+// every `period_micros`, snapshotting every slot plus the process-wide `io.inflight_depth` gauge
 // and the `io.pages_read` counter, and folds each snapshot into overlap
 // tallies:
 //
@@ -114,8 +114,9 @@ class OverlapProfiler {
   OverlapProfiler(const OverlapProfiler&) = delete;
   OverlapProfiler& operator=(const OverlapProfiler&) = delete;
 
-  /// Joins the sampler thread. Idempotent. Report() is only meaningful
-  /// after Stop().
+  /// Waits for the sampler's first sample (taken as it starts), then
+  /// joins the sampler thread, so a report always holds at least one
+  /// sample. Idempotent. Report() is only meaningful after Stop().
   void Stop();
 
   OverlapReport Report() const;

@@ -248,7 +248,7 @@ std::string OptServer::RenderStats() const {
   }
   // The active counter backend (DESIGN.md §13) plus every registry
   // gauge: gauges don't travel in the wire counters section, so the
-  // text block is where clients read opt.hub.* and perf.* levels.
+  // text block is where clients read gauge levels such as perf.*.
   out << PerfBackendStatsText();
   for (const auto& [name, value] : Metrics().Gauges()) {
     out << name << "=" << value << '\n';

@@ -2,13 +2,13 @@
 // sorted triangle listing must equal the in-memory baseline on seeded
 // R-MAT / Erdős–Rényi / Holme–Kim graphs across the full configuration
 // matrix of {m_in/m_ex splits, thread counts, thread morphing,
-// backward external order, intersection kernel}. Fault-injection
+// backward external order}, counting and listing. Fault-injection
 // variants re-run OPT end-to-end with randomized read-fault offsets and
 // with seeded FaultPlans, asserting each run either surfaces the typed
 // Unavailable or produces the exact result — never a silently wrong
 // count. Failing fault trials print a one-line `--fault-plan` repro.
-// Kernel-isolation tests check that a run's kernel and hub index stay
-// inside that run, also with two runners at once. The candidate-planning
+// A kernel-isolation test checks that a run neither installs nor clears
+// the caller's intersection kernel. The candidate-planning
 // test recomputes each iteration's external candidates and page runs
 // from the CSR graph; the page-run test checks that runs of missing
 // pages reach the device as one read each.
@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -72,16 +71,15 @@ std::vector<Split> MakeSplits(const GraphStore& store) {
 }
 
 std::string ConfigLabel(const Split& split, uint32_t threads, bool morph,
-                        bool backward, IntersectKernel kernel) {
+                        bool backward) {
   return std::string("split=") + split.name +
          " threads=" + std::to_string(threads) +
          " morph=" + (morph ? "on" : "off") +
-         " backward=" + (backward ? "on" : "off") +
-         " kernel=" + IntersectKernelName(kernel);
+         " backward=" + (backward ? "on" : "off");
 }
 
 OptOptions MakeOptions(const Split& split, uint32_t threads, bool morph,
-                       bool backward, IntersectKernel kernel) {
+                       bool backward) {
   OptOptions options;
   options.m_in = split.m_in;
   options.m_ex = split.m_ex;
@@ -89,47 +87,57 @@ OptOptions MakeOptions(const Split& split, uint32_t threads, bool morph,
   options.macro_overlap = threads > 1;  // threads=1 maps to OPT_serial
   options.thread_morphing = morph;
   options.backward_external_order = backward;
-  options.kernel = kernel;
   return options;
 }
 
 class DifferentialTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    // options.kernel is scoped to each run's work units: nothing may
-    // stay installed on the calling thread once Run() returns.
+    // Runs install no intersection scope: nothing may stay installed on
+    // the calling thread once Run() returns.
     EXPECT_EQ(ActiveIntersectKernel(), BestIntersectKernel());
     EXPECT_EQ(CurrentHubBitmapIndex(), nullptr);
   }
 };
 
 TEST_F(DifferentialTest, RmatFullConfigMatrixMatchesInMemoryBaseline) {
+  // The skewed R-MAT store, where a hub's loaded list is probed by many
+  // requesters. LIST runs at 1, 4 and 8 threads must write exactly the
+  // oracle, like the counted runs.
   CSRGraph g = MakeRmat(42);
   const auto oracle = testutil::OracleTriangles(g);
   ASSERT_GT(oracle.size(), 0u);
   auto store = testutil::MakeStore(g, Env::Default(), "diff_rmat", 256);
+  const std::string path = testutil::ProcessTempDir() + "/diff_rmat_out.bin";
   EdgeIteratorModel model;
   for (const Split& split : MakeSplits(*store)) {
-    for (uint32_t threads : {1u, 2u, 4u}) {
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
       for (bool morph : {false, true}) {
         for (bool backward : {false, true}) {
-          for (IntersectKernel kernel :
-               {IntersectKernel::kScalar, IntersectKernel::kAuto}) {
-            const std::string label =
-                ConfigLabel(split, threads, morph, backward, kernel);
-            SCOPED_TRACE(label);
-            OptRunner runner(
-                store.get(), &model,
-                MakeOptions(split, threads, morph, backward, kernel));
-            VectorSink sink;
-            Status s = runner.Run(&sink, nullptr);
+          const std::string label =
+              ConfigLabel(split, threads, morph, backward);
+          SCOPED_TRACE(label);
+          OptRunner runner(store.get(), &model,
+                           MakeOptions(split, threads, morph, backward));
+          VectorSink sink;
+          Status s = runner.Run(&sink, nullptr);
+          ASSERT_TRUE(s.ok()) << s.ToString();
+          ASSERT_EQ(sink.Sorted(), oracle);
+          if (threads == 2) continue;
+          SCOPED_TRACE("list");
+          {
+            ListingSink listing(Env::Default(), path);
+            s = runner.Run(&listing, nullptr);
             ASSERT_TRUE(s.ok()) << s.ToString();
-            ASSERT_EQ(sink.Sorted(), oracle);
           }
+          auto listed = ReadListingTriangles(Env::Default(), path);
+          ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+          ASSERT_EQ(*listed, oracle);
         }
       }
     }
   }
+  std::remove(path.c_str());
 }
 
 TEST_F(DifferentialTest, ErdosRenyiTrimmedMatrixMatchesInMemoryBaseline) {
@@ -138,24 +146,20 @@ TEST_F(DifferentialTest, ErdosRenyiTrimmedMatrixMatchesInMemoryBaseline) {
   auto store = testutil::MakeStore(g, Env::Default(), "diff_er", 256);
   EdgeIteratorModel model;
   const auto splits = MakeSplits(*store);
-  // Trimmed matrix: both splits, extreme thread counts, kernels; morph
-  // and backward toggled together (the full cross runs on R-MAT above).
+  // Trimmed matrix: both splits, extreme thread counts; morph and
+  // backward toggled together (the full cross runs on R-MAT above).
   for (const Split& split : splits) {
     for (uint32_t threads : {1u, 4u}) {
       for (bool toggles : {false, true}) {
-        for (IntersectKernel kernel :
-             {IntersectKernel::kScalar, IntersectKernel::kAuto}) {
-          const std::string label =
-              ConfigLabel(split, threads, toggles, toggles, kernel);
-          SCOPED_TRACE(label);
-          OptRunner runner(
-              store.get(), &model,
-              MakeOptions(split, threads, toggles, toggles, kernel));
-          VectorSink sink;
-          Status s = runner.Run(&sink, nullptr);
-          ASSERT_TRUE(s.ok()) << s.ToString();
-          ASSERT_EQ(sink.Sorted(), oracle);
-        }
+        const std::string label =
+            ConfigLabel(split, threads, toggles, toggles);
+        SCOPED_TRACE(label);
+        OptRunner runner(store.get(), &model,
+                         MakeOptions(split, threads, toggles, toggles));
+        VectorSink sink;
+        Status s = runner.Run(&sink, nullptr);
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        ASSERT_EQ(sink.Sorted(), oracle);
       }
     }
   }
@@ -169,18 +173,14 @@ TEST_F(DifferentialTest, HolmeKimTrimmedMatrixMatchesInMemoryBaseline) {
   EdgeIteratorModel model;
   for (const Split& split : MakeSplits(*store)) {
     for (uint32_t threads : {1u, 2u}) {
-      for (IntersectKernel kernel :
-           {IntersectKernel::kScalar, IntersectKernel::kAuto}) {
-        const std::string label =
-            ConfigLabel(split, threads, true, true, kernel);
-        SCOPED_TRACE(label);
-        OptRunner runner(store.get(), &model,
-                         MakeOptions(split, threads, true, true, kernel));
-        VectorSink sink;
-        Status s = runner.Run(&sink, nullptr);
-        ASSERT_TRUE(s.ok()) << s.ToString();
-        ASSERT_EQ(sink.Sorted(), oracle);
-      }
+      const std::string label = ConfigLabel(split, threads, true, true);
+      SCOPED_TRACE(label);
+      OptRunner runner(store.get(), &model,
+                       MakeOptions(split, threads, true, true));
+      VectorSink sink;
+      Status s = runner.Run(&sink, nullptr);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ASSERT_EQ(sink.Sorted(), oracle);
     }
   }
 }
@@ -204,8 +204,7 @@ TEST_F(DifferentialTest, ParallelListingMatchesOracleAcrossIterations) {
     OptRunStats stats;
     {
       OptRunner runner(store.get(), &model,
-                       MakeOptions(quarter, 4, true, true,
-                                   IntersectKernel::kAuto));
+                       MakeOptions(quarter, 4, true, true));
       ListingSink sink(Env::Default(), path, /*flush_threshold=*/512,
                        asynchronous);
       Status s = runner.Run(&sink, &stats);
@@ -221,23 +220,23 @@ TEST_F(DifferentialTest, ParallelListingMatchesOracleAcrossIterations) {
   }
 }
 
-TEST_F(DifferentialTest, VertexIteratorModelAgreesUnderForcedKernels) {
-  // The vertex-iterator instantiation shares the same intersection
-  // kernels through a different access pattern.
+TEST_F(DifferentialTest, VertexIteratorModelMatchesInMemoryBaseline) {
+  // The vertex-iterator instantiation marks the other side of each pair
+  // (the loaded n_succ(u) of Algorithm 13) and must find the same sets.
   CSRGraph g = MakeRmat(11);
   const auto oracle = testutil::OracleTriangles(g);
   auto store = testutil::MakeStore(g, Env::Default(), "diff_vi", 256);
   VertexIteratorModel model;
-  const auto splits = MakeSplits(*store);
-  for (IntersectKernel kernel :
-       {IntersectKernel::kScalar, IntersectKernel::kAuto}) {
-    SCOPED_TRACE(IntersectKernelName(kernel));
-    OptRunner runner(store.get(), &model,
-                     MakeOptions(splits[0], 3, true, true, kernel));
-    VectorSink sink;
-    Status s = runner.Run(&sink, nullptr);
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    ASSERT_EQ(sink.Sorted(), oracle);
+  for (const Split& split : MakeSplits(*store)) {
+    for (uint32_t threads : {1u, 3u}) {
+      SCOPED_TRACE(ConfigLabel(split, threads, true, true));
+      OptRunner runner(store.get(), &model,
+                       MakeOptions(split, threads, true, true));
+      VectorSink sink;
+      Status s = runner.Run(&sink, nullptr);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ASSERT_EQ(sink.Sorted(), oracle);
+    }
   }
 }
 
@@ -301,8 +300,7 @@ TEST_F(DifferentialTest, CandidatePlanningMatchesTheGraph) {
       SCOPED_TRACE(std::string(model->name()) +
                    " threads=" + std::to_string(threads));
       OptRunner runner(store.get(), model,
-                       MakeOptions(small, threads, true, true,
-                                   IntersectKernel::kAuto));
+                       MakeOptions(small, threads, true, true));
       CountingSink sink;
       OptRunStats stats;
       Status s = runner.Run(&sink, &stats);
@@ -336,8 +334,7 @@ TEST_F(DifferentialTest, PageRunsReadEveryPageInFewerDeviceReads) {
   const uint32_t m_in =
       std::max(store->MaxRecordPages(), store->num_pages() / 6);
   OptOptions options = MakeOptions({"small", m_in, m_in}, /*threads=*/1,
-                                   /*morph=*/false, /*backward=*/true,
-                                   IntersectKernel::kAuto);
+                                   /*morph=*/false, /*backward=*/true);
   options.io_queue_depth = 1;
   EdgeIteratorModel model;
   OptRunner runner(store.get(), &model, options);
@@ -353,65 +350,10 @@ TEST_F(DifferentialTest, PageRunsReadEveryPageInFewerDeviceReads) {
   EXPECT_EQ(env.stats().read_bytes.load(), pages * store->page_size());
 }
 
-TEST_F(DifferentialTest, HubSplitSweepBitIdenticalAcrossSplitPoints) {
-  // Property: the hub/tail split point is a pure performance knob. For
-  // every split — off, all-hubs (degree 0), p90, p99, auto — and both
-  // bitmap kernels, OPT's count AND sorted listing must be bit-identical
-  // to the in-memory oracle on the skewed R-MAT and clustered Holme–Kim
-  // graphs, serial and threaded.
-  struct SweepGraph {
-    const char* name;
-    CSRGraph graph;
-  };
-  const SweepGraph graphs[] = {{"rmat", MakeRmat(42)},
-                               {"holme_kim", MakeHolmeKim(9)}};
-  EdgeIteratorModel model;
-  for (const SweepGraph& sg : graphs) {
-    const auto oracle = testutil::OracleTriangles(sg.graph);
-    ASSERT_GT(oracle.size(), 0u);
-    auto store = testutil::MakeStore(sg.graph, Env::Default(),
-                                     std::string("diff_hub_") + sg.name,
-                                     256);
-    const auto splits = MakeSplits(*store);
-    for (IntersectKernel kernel :
-         {IntersectKernel::kBitmapScalar, IntersectKernel::kBitmap}) {
-      if (!IntersectKernelSupported(kernel)) continue;
-      for (const char* hub_split : {"off", "0", "p90", "p99", "auto"}) {
-        for (uint32_t threads : {1u, 3u}) {
-          const std::string label =
-              std::string(sg.name) + " hub_split=" + hub_split + " " +
-              ConfigLabel(splits[threads == 1 ? 0 : 1], threads, true,
-                          true, kernel);
-          SCOPED_TRACE(label);
-          OptOptions options = MakeOptions(splits[threads == 1 ? 0 : 1],
-                                           threads, true, true, kernel);
-          auto spec = HubSplitSpec::Parse(hub_split);
-          ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-          options.hub_split = *spec;
-          OptRunner runner(store.get(), &model, options);
-          VectorSink sink;
-          OptRunStats stats;
-          Status s = runner.Run(&sink, &stats);
-          ASSERT_TRUE(s.ok()) << s.ToString();
-          ASSERT_EQ(sink.Sorted(), oracle);
-          if (std::string(hub_split) == "0") {
-            // All-hubs split: every internal vertex owns a bitmap, so
-            // the run must actually have built some.
-            EXPECT_GT(stats.hub_bitmaps_built, 0u);
-            EXPECT_GT(stats.hub_bitmap_peak_bytes, 0u);
-          } else if (std::string(hub_split) == "off") {
-            EXPECT_EQ(stats.hub_bitmaps_built, 0u);
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST_F(DifferentialTest, StoreComputeDegreesMatchesCsrGraph) {
-  // The hub split point is resolved from GraphStore::ComputeDegrees();
-  // cross-check the page-scan against the in-memory CSR degrees, and
-  // the nearest-rank percentile rule against a direct count.
+  // Cross-check GraphStore::ComputeDegrees()'s page scan against the
+  // in-memory CSR degrees, and the hub split's nearest-rank percentile
+  // rule against a direct count.
   CSRGraph g = MakeRmat(13);
   auto store = testutil::MakeStore(g, Env::Default(), "diff_degrees", 256);
   auto degrees = store->ComputeDegrees();
@@ -434,7 +376,7 @@ TEST_F(DifferentialTest, StoreComputeDegreesMatchesCsrGraph) {
 
 TEST_F(DifferentialTest, RandomizedFaultOffsetsNeverYieldWrongCounts) {
   // End-to-end fault injection: arm a read failure at a random offset
-  // for each trial while also varying threads, morphing, and kernel.
+  // for each trial while also varying threads and morphing.
   // Every run must either complete with the exact count (the fault
   // landed past the last read) or fail with the typed Unavailable.
   CSRGraph g = MakeRmat(5);
@@ -450,20 +392,17 @@ TEST_F(DifferentialTest, RandomizedFaultOffsetsNeverYieldWrongCounts) {
   for (int trial = 0; trial < 28; ++trial) {
     const uint32_t threads = 1 + static_cast<uint32_t>(rng.Uniform(4));
     const bool morph = rng.Uniform(2) == 0;
-    const IntersectKernel kernel = rng.Uniform(2) == 0
-                                       ? IntersectKernel::kScalar
-                                       : IntersectKernel::kAuto;
     const Split& split = splits[rng.Uniform(splits.size())];
     // Offsets span "fails immediately" through "fails after the run".
     const int64_t offset = static_cast<int64_t>(rng.Uniform(3000));
-    SCOPED_TRACE(ConfigLabel(split, threads, morph, true, kernel) +
+    SCOPED_TRACE(ConfigLabel(split, threads, morph, true) +
                  " fail_after=" + std::to_string(offset));
     // A fresh env per trial: its read ops count from zero.
     FaultInjectingEnv fenv(Env::Default(),
                            testutil::FailPageReadsAfter(offset));
     auto store = testutil::OpenStore(&fenv, base);
     OptRunner runner(store.get(), &model,
-                     MakeOptions(split, threads, morph, true, kernel));
+                     MakeOptions(split, threads, morph, true));
     CountingSink sink;
     Status s = runner.Run(&sink, nullptr);
     if (s.ok()) {
@@ -515,8 +454,7 @@ TEST_F(DifferentialTest, SeededFaultPlansNeverYieldWrongCounts) {
     fenv.set_enabled(true);
 
     OptOptions options = MakeOptions(MakeSplits(*store)[0],
-                                     1 + rng.Uniform(3), true, true,
-                                     IntersectKernel::kAuto);
+                                     1 + rng.Uniform(3), true, true);
     options.io_retry.backoff_base_micros = 20;  // keep trials brisk
     // A location can fault on the error stream AND the torn stream; the
     // budget must cover both transient runs plus the clean attempt.
@@ -551,14 +489,16 @@ TEST_F(DifferentialTest, SeededFaultPlansNeverYieldWrongCounts) {
 }
 
 TEST(KernelIsolationTest, RunLeavesNoKernelBehindOnItsThread) {
-  // A forced kernel belongs to its run: once Run() returns, plain
-  // intersections on the same thread are back on the auto kernel.
+  // A run selects no intersection kernel: it neither installs one nor
+  // clears the caller's. Under a caller's scalar scope the count is
+  // exact, and afterwards plain intersections on the same thread still
+  // run the caller's kernel.
   CSRGraph g = MakeRmat(5);
   auto store = testutil::MakeStore(g, Env::Default(), "kernel_leak", 256);
   EdgeIteratorModel model;
+  IntersectScope caller_scope(IntersectKernel::kScalar);
   OptRunner runner(store.get(), &model,
-                   MakeOptions(MakeSplits(*store)[0], 1, false, true,
-                               IntersectKernel::kScalar));
+                   MakeOptions(MakeSplits(*store)[0], 1, false, true));
   CountingSink sink;
   const Status s = runner.Run(&sink, nullptr);
   ASSERT_TRUE(s.ok()) << s.ToString();
@@ -570,52 +510,8 @@ TEST(KernelIsolationTest, RunLeavesNoKernelBehindOnItsThread) {
   EXPECT_EQ(IntersectCount(a, b), 3u);
   const IntersectCounters delta =
       IntersectCounters::Delta(SnapshotIntersectCounters(), before);
-  EXPECT_EQ(delta.calls[static_cast<int>(BestIntersectKernel())], 1u)
-      << IntersectKernelName(BestIntersectKernel());
+  EXPECT_EQ(delta.calls[static_cast<int>(IntersectKernel::kScalar)], 1u);
   EXPECT_EQ(delta.TotalCalls(), 1u);
-}
-
-TEST(KernelIsolationTest, ConcurrentRunnersWithDifferentKernelsStayExact) {
-  // Two runners on one store at once — one on the bitmap path with every
-  // vertex a hub, one on scalar merge. Each must see only its own
-  // kernel and hub index: both counts exact, and the bitmap run really
-  // routed through bitmaps.
-  CSRGraph g = MakeRmat(11);
-  const uint64_t oracle = testutil::OracleTriangles(g).size();
-  ASSERT_GT(oracle, 0u);
-  auto store =
-      testutil::MakeStore(g, Env::Default(), "kernel_isolation", 256);
-  const Split split = MakeSplits(*store)[0];
-  const IntersectKernel bitmap =
-      IntersectKernelSupported(IntersectKernel::kBitmap)
-          ? IntersectKernel::kBitmap
-          : IntersectKernel::kBitmapScalar;
-  EdgeIteratorModel model;
-  for (int round = 0; round < 4; ++round) {
-    SCOPED_TRACE("round " + std::to_string(round));
-    OptOptions bitmap_options =
-        MakeOptions(split, 2, true, true, bitmap);
-    bitmap_options.hub_split = *HubSplitSpec::Parse("0");
-    const OptOptions scalar_options =
-        MakeOptions(split, 2, true, true, IntersectKernel::kScalar);
-    CountingSink bitmap_sink, scalar_sink;
-    OptRunStats bitmap_stats;
-    Status bitmap_status, scalar_status;
-    std::thread bitmap_thread([&] {
-      OptRunner runner(store.get(), &model, bitmap_options);
-      bitmap_status = runner.Run(&bitmap_sink, &bitmap_stats);
-    });
-    {
-      OptRunner runner(store.get(), &model, scalar_options);
-      scalar_status = runner.Run(&scalar_sink, nullptr);
-    }
-    bitmap_thread.join();
-    ASSERT_TRUE(bitmap_status.ok()) << bitmap_status.ToString();
-    ASSERT_TRUE(scalar_status.ok()) << scalar_status.ToString();
-    EXPECT_EQ(bitmap_sink.count(), oracle);
-    EXPECT_EQ(scalar_sink.count(), oracle);
-    EXPECT_GT(bitmap_stats.hub_bitmaps_built, 0u);
-  }
 }
 
 }  // namespace

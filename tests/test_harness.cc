@@ -89,16 +89,6 @@ TEST_P(MethodRunnerTest, AllMethodsAgreeOnTriangleCount) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->triangles, oracle) << result->method;
   EXPECT_GT(result->seconds, 0.0);
-
-  // A forced kernel reaches every thread the method intersects on.
-  config.kernel = IntersectKernel::kScalar;
-  auto forced = RunMethod(GetParam(), store->get(), Env::Default(), config);
-  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
-  EXPECT_EQ(forced->triangles, oracle) << forced->method;
-  EXPECT_EQ(forced->kernel_used, IntersectKernel::kScalar);
-  EXPECT_EQ(forced->intersect.calls[static_cast<int>(IntersectKernel::kScalar)],
-            forced->intersect.TotalCalls())
-      << forced->method;
 }
 
 INSTANTIATE_TEST_SUITE_P(

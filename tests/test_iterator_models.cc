@@ -3,10 +3,14 @@
 // replaying the paper's worked example of §3.2/Figure 2: the internal
 // area holds n(a)..n(d); {e,f,g,h} become external candidates; the
 // internal triangles are {abc, cdf} and the external ones {def, cfg,
-// cgh}.
+// cgh}. The marker-reuse tests run one ModelScratch through a sequence
+// of overlapping records and check every call against
+// std::set_intersection, so a successor marker left dirty by one call
+// shows up as extra ids in a later one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/iterator_model.h"
 #include "core/page_range_view.h"
@@ -14,6 +18,7 @@
 #include "graph/builder.h"
 #include "storage/graph_store.h"
 #include "test_helpers.h"
+#include "util/random.h"
 
 namespace opt {
 namespace {
@@ -181,6 +186,171 @@ TEST_F(ModelFixture, FullResidencyFindsEverythingInternally) {
         << model->name();
     EXPECT_TRUE(candidates.empty()) << model->name();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Marker reuse: one scratch across many records.
+// ---------------------------------------------------------------------------
+
+/// One Emit call.
+struct Call {
+  VertexId u, v;
+  std::vector<VertexId> ws;
+  bool operator==(const Call&) const = default;
+};
+
+class RecordingSink : public TriangleSink {
+ public:
+  void Emit(VertexId u, VertexId v, std::span<const VertexId> ws) override {
+    calls.push_back({u, v, {ws.begin(), ws.end()}});
+  }
+  std::vector<Call> calls;
+};
+
+std::vector<VertexId> Common(std::span<const VertexId> a,
+                             std::span<const VertexId> b) {
+  std::vector<VertexId> out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+  return out;
+}
+
+/// 1000 vertices whose successor lists overlap heavily. Resident ranges
+/// are [0, 499] (edge model) and [500, 999] (vertex model). Vertex 700
+/// is the edge model's external hub (hundreds of requesters below 500),
+/// vertex 100 the vertex model's (hundreds of successors above 499);
+/// 990 and 499 have empty successor lists.
+constexpr VertexId kEdgeHub = 700, kVertexHub = 100;
+constexpr VertexId kEdgeEmpty = 990, kVertexEmpty = 499;
+
+CSRGraph MarkerGraph() {
+  Random64 rng(2718);
+  GraphBuilder b;
+  const auto pick = [&rng](VertexId lo, VertexId hi_excl) {
+    return static_cast<VertexId>(lo + rng.Uniform(hi_excl - lo));
+  };
+  for (VertexId u = 0; u < 499; ++u) {
+    for (int i = 0; i < 4; ++i) b.AddEdge(u, pick(500, 900));
+    for (int i = 0; i < 3; ++i) {
+      const VertexId w = pick(0, 499);
+      if (w != u) b.AddEdge(u, w);
+    }
+  }
+  b.AddEdge(10, kVertexEmpty);
+  b.AddEdge(20, kVertexEmpty);
+  for (VertexId v = 500; v < 999; ++v) {
+    if (v == kEdgeEmpty) continue;
+    for (int i = 0; i < 3; ++i) b.AddEdge(v, pick(v + 1, 1000));
+  }
+  for (int i = 0; i < 300; ++i) {
+    b.AddEdge(pick(0, 499), kEdgeHub);
+    b.AddEdge(kVertexHub, pick(500, 900));
+  }
+  for (int i = 0; i < 150; ++i) b.AddEdge(kEdgeHub, pick(701, 900));
+  for (int i = 0; i < 20; ++i) b.AddEdge(pick(0, 499), kEdgeEmpty);
+  return std::move(b).Build();
+}
+
+/// Runs InternalTriangles for every resident vertex, then
+/// ExternalTriangles for the hub, the empty record and every other
+/// record in ascending order of its largest successor (so later records
+/// reach ids past every earlier maximum), all through ONE scratch whose
+/// marker starts empty and grows. Every call must emit exactly
+/// (u, v, n_succ(u) ∩ n_succ(v)) for its pairs, in order.
+void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
+  const CSRGraph g = MarkerGraph();
+  auto store = testutil::MakeStore(g, Env::Default(),
+                                   std::string("marker_") + model.name(),
+                                   4096);
+  std::vector<std::vector<char>> pages(store->num_pages());
+  std::vector<const char*> data;
+  for (uint32_t pid = 0; pid < store->num_pages(); ++pid) {
+    pages[pid].resize(store->page_size());
+    ASSERT_TRUE(store->file()->ReadPage(pid, pages[pid].data()).ok());
+    data.push_back(pages[pid].data());
+  }
+  PageRangeView view;
+  ASSERT_TRUE(view.Build(*store, 0, data).ok());
+  IterationPlan plan;
+  plan.v_lo = edge_model ? 0 : 500;
+  plan.v_hi = edge_model ? 499 : 999;
+  plan.pid_lo = 0;
+  plan.pid_hi = store->num_pages() - 1;
+  const auto in_plan = [&plan](VertexId x) {
+    return x >= plan.v_lo && x <= plan.v_hi;
+  };
+  const auto pair = [&g](VertexId u, VertexId v, std::vector<Call>* out) {
+    std::vector<VertexId> ws = Common(g.Successors(u), g.Successors(v));
+    if (!ws.empty()) out->push_back({u, v, std::move(ws)});
+  };
+
+  ModelScratch scratch;
+  for (VertexId u = plan.v_lo; u <= plan.v_hi; ++u) {
+    SCOPED_TRACE("internal u=" + std::to_string(u));
+    std::vector<Call> want;
+    for (VertexId v : g.Successors(u)) {
+      if (in_plan(v)) pair(u, v, &want);
+    }
+    RecordingSink sink;
+    model.InternalTriangles(view, plan, u, &sink, &scratch);
+    ASSERT_EQ(sink.calls, want);
+  }
+
+  const VertexId hub = edge_model ? kEdgeHub : kVertexHub;
+  const VertexId empty = edge_model ? kEdgeEmpty : kVertexEmpty;
+  ASSERT_TRUE(g.Successors(empty).empty());
+  std::vector<VertexId> rest;
+  for (VertexId x = 0; x < g.num_vertices(); ++x) {
+    if (!in_plan(x) && x != hub && x != empty && !g.Successors(x).empty()) {
+      rest.push_back(x);
+    }
+  }
+  std::stable_sort(rest.begin(), rest.end(), [&g](VertexId a, VertexId b) {
+    return g.Successors(a).back() < g.Successors(b).back();
+  });
+  ASSERT_LT(g.Successors(hub).back(), g.Successors(rest.back()).back());
+  std::vector<VertexId> records{hub, empty};
+  records.insert(records.end(), rest.begin(), rest.end());
+
+  uint64_t hub_pairs = 0;
+  for (VertexId x : records) {
+    SCOPED_TRACE("external record " + std::to_string(x));
+    std::vector<Call> want;
+    uint64_t requesters = 0;
+    if (edge_model) {
+      // Requesters u ∈ n_prec(x) ∩ [v_lo, v_hi].
+      for (VertexId u : g.Neighbors(x)) {
+        if (u < x && in_plan(u)) {
+          ++requesters;
+          pair(u, x, &want);
+        }
+      }
+    } else {
+      // Requesters v ∈ n_succ(x) ∩ [v_lo, v_hi].
+      for (VertexId v : g.Successors(x)) {
+        if (in_plan(v)) {
+          ++requesters;
+          pair(x, v, &want);
+        }
+      }
+    }
+    if (x == hub) {
+      ASSERT_GE(requesters, 200u);
+      hub_pairs = want.size();
+    }
+    RecordingSink sink;
+    model.ExternalTriangles(view, plan, x, view.Get(x), &sink, &scratch);
+    ASSERT_EQ(sink.calls, want);
+  }
+  EXPECT_GT(hub_pairs, 0u);
+}
+
+TEST(MarkerReuse, EdgeIteratorOneScratchMatchesSetIntersection) {
+  CheckMarkerReuse(EdgeIteratorModel(), /*edge_model=*/true);
+}
+
+TEST(MarkerReuse, VertexIteratorOneScratchMatchesSetIntersection) {
+  CheckMarkerReuse(VertexIteratorModel(), /*edge_model=*/false);
 }
 
 }  // namespace

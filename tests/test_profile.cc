@@ -234,6 +234,19 @@ TEST(OverlapProfiler, StallGuardDiscardsStaleSlots) {
             report.samples);
 }
 
+TEST(OverlapProfiler, StopRightAfterStartStillHasASample) {
+  // A run shorter than one period (a tiny query) still gets a sample:
+  // the sampler takes its first one as it starts, and Stop() waits for
+  // it instead of the period.
+  OverlapProfiler::Options options = FastOptions();
+  options.period_micros = 10'000'000;
+  const auto start = std::chrono::steady_clock::now();
+  OverlapProfiler profiler(options);
+  profiler.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_GE(profiler.Report().samples, 1u);
+}
+
 TEST(OverlapProfiler, MorphEventsAreCounted) {
   OverlapProfiler profiler(FastOptions());
   profiler.RecordMorph();

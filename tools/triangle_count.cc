@@ -4,15 +4,10 @@
 //   triangle_count --store /path/base [--method OPT|OPT_serial|MGT|
 //       CC-Seq|CC-DS|GraphChi-Tri|ideal] [--buffer_percent 15]
 //       [--threads N] [--list FILE]
-//       [--kernel scalar|avx2|bitmap|bitmap_scalar|auto]
-//       [--hub_split off|auto|pNN|<degree>]
 #include <cstdio>
-#include <optional>
 #include <string>
 
 #include "core/iterator_model.h"
-#include "graph/hub_bitmap.h"
-#include "graph/intersect.h"
 #include "core/opt_runner.h"
 #include "core/triangle_sink.h"
 #include "harness/datasets.h"
@@ -43,29 +38,7 @@ int main(int argc, char** argv) {
   const std::string method_name = cl->GetString("method", "OPT");
   const std::string list_path = cl->GetString("list", "");
 
-  std::optional<IntersectKernel> kernel;
-  if (cl->Has("kernel")) {
-    auto parsed = ParseIntersectKernel(cl->GetString("kernel", "auto"));
-    if (parsed.ok()) parsed = ResolveIntersectKernel(*parsed);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 2;
-    }
-    kernel = *parsed;
-  }
-  std::optional<HubSplitSpec> hub_split;
-  if (cl->Has("hub_split")) {
-    auto split = HubSplitSpec::Parse(cl->GetString("hub_split", "auto"));
-    if (!split.ok()) {
-      std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
-      return 2;
-    }
-    hub_split = *split;
-  }
-
   MethodConfig config;
-  config.kernel = kernel;
-  config.hub_split = hub_split;
   config.memory_pages = PagesForBufferPercent(
       **store, cl->GetDouble("buffer_percent", 15.0));
   config.num_threads = static_cast<uint32_t>(cl->GetInt("threads", 2));
@@ -78,8 +51,6 @@ int main(int argc, char** argv) {
                             (*store)->MaxRecordPages());
     options.m_ex = std::max(1u, config.memory_pages / 2);
     options.num_threads = config.num_threads;
-    options.kernel = kernel;
-    options.hub_split = hub_split;
     EdgeIteratorModel model;
     OptRunner runner(store->get(), &model, options);
     ListingSink listing(Env::Default(), list_path);
@@ -110,16 +81,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("method:    %s\n", result->method.c_str());
-  std::printf("kernel:    %s (%llu intersect calls, %llu elements)\n",
-              IntersectKernelName(result->kernel_used),
+  std::printf("intersect: %llu calls, %llu elements\n",
               static_cast<unsigned long long>(result->intersect.TotalCalls()),
               static_cast<unsigned long long>(
                   result->intersect.TotalElements()));
-  if (result->hub_bitmaps_built > 0) {
-    std::printf("hub split: degree >= %u (%llu bitmaps built)\n",
-                result->hub_degree_threshold,
-                static_cast<unsigned long long>(result->hub_bitmaps_built));
-  }
   std::printf("triangles: %llu\n",
               static_cast<unsigned long long>(result->triangles));
   std::printf("elapsed:   %.3f s\n", result->seconds);
