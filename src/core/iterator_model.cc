@@ -15,10 +15,21 @@ namespace {
 /// by bit tests, and destruction zeroes exactly the words it set. One
 /// loaded list is thus walked twice in all, however many lists it meets,
 /// where a pairwise merge walks it once per partner.
+///
+/// For a counts_only() sink the sets are never built: Probe adds each
+/// set's size, and destruction hands the total to AddCount and the
+/// probes to the intersect counters, once per model call. Other sinks
+/// get every non-empty set through Emit, with the counters updated per
+/// probe. Both paths count the same calls (one per non-empty clamped
+/// probe) and elements (clamped probe + marked list).
 class MarkedList {
  public:
-  MarkedList(std::span<const VertexId> list, ModelScratch* scratch)
-      : list_(list), scratch_(scratch) {
+  MarkedList(std::span<const VertexId> list, TriangleSink* sink,
+             ModelScratch* scratch)
+      : list_(list),
+        sink_(sink),
+        scratch_(scratch),
+        counts_only_(sink->counts_only()) {
     if (list_.empty()) return;
     DenseBitmap& marker = scratch_->marker;
     if (list_.back() >= marker.universe()) {
@@ -32,34 +43,52 @@ class MarkedList {
       marker.Reset(static_cast<VertexId>(std::min<uint64_t>(
           wanted, std::numeric_limits<VertexId>::max())));
     }
-    marker.SetFrom(list_);
+    // Adjacency lists are strictly increasing, so the marker's
+    // population is the list's length.
+    marker.SetDistinct(list_);
   }
   ~MarkedList() {
-    if (!list_.empty()) scratch_->marker.ClearFrom(list_);
+    if (list_.empty()) return;
+    scratch_->marker.ClearFrom(list_);
+    if (calls_ == 0) return;
+    RecordIntersectCalls(IntersectKernel::kBitmapScalar, calls_, elements_);
+    if (triangles_ > 0) sink_->AddCount(triangles_);
   }
   MarkedList(const MarkedList&) = delete;
   MarkedList& operator=(const MarkedList&) = delete;
 
-  /// The marked list ∩ `probe`, sorted, in scratch->intersection. Only
-  /// ids in [list.front(), list.back()] can be marked, so the probe is
-  /// clamped to that range first.
-  const std::vector<VertexId>& Probe(std::span<const VertexId> probe) {
-    std::vector<VertexId>& out = scratch_->intersection;
-    out.clear();
-    if (list_.empty()) return out;
-    const VertexId* end = probe.data() + probe.size();
-    const VertexId* first = std::lower_bound(probe.data(), end, list_.front());
+  /// Reports W_uv = the marked list ∩ `partner` (sorted). Only ids in
+  /// [list.front(), list.back()] can be marked, so `partner` is clamped
+  /// to that range first.
+  void Probe(VertexId u, VertexId v, std::span<const VertexId> partner) {
+    if (list_.empty()) return;
+    const VertexId* end = partner.data() + partner.size();
+    const VertexId* first =
+        std::lower_bound(partner.data(), end, list_.front());
     const VertexId* last = std::upper_bound(first, end, list_.back());
-    if (first != last) {
-      IntersectBitmapSparseWith(IntersectKernel::kBitmapScalar,
-                                {first, last}, scratch_->marker, &out);
+    if (first == last) return;
+    if (counts_only_) {
+      ++calls_;
+      elements_ += static_cast<uint64_t>(last - first) + list_.size();
+      triangles_ += CountBitmapSparse({first, last}, scratch_->marker);
+      return;
     }
-    return out;
+    std::vector<VertexId>& ws = scratch_->intersection;
+    ws.clear();
+    IntersectBitmapSparseWith(IntersectKernel::kBitmapScalar, {first, last},
+                              scratch_->marker, &ws);
+    if (!ws.empty()) sink_->Emit(u, v, ws);
   }
 
  private:
   std::span<const VertexId> list_;
+  TriangleSink* sink_;
   ModelScratch* scratch_;
+  const bool counts_only_;
+  // Count path only: this call's probes and triangles.
+  uint64_t calls_ = 0;
+  uint64_t elements_ = 0;
+  uint64_t triangles_ = 0;
 };
 
 /// Algorithms 6 and 11 (they find the same sets): for every resident
@@ -71,11 +100,10 @@ void InternalPairs(const PageRangeView& internal, const IterationPlan& plan,
   const auto succ_u = internal.Get(u).succ();
   // Sorted: when the first successor is external, so are all of them.
   if (succ_u.empty() || succ_u.front() > plan.v_hi) return;
-  MarkedList marked(succ_u, scratch);
+  MarkedList marked(succ_u, sink, scratch);
   for (VertexId v : succ_u) {
     if (v > plan.v_hi) break;  // the rest are external pairs
-    const auto& ws = marked.Probe(internal.Get(v).succ());
-    if (!ws.empty()) sink->Emit(u, v, ws);
+    marked.Probe(u, v, internal.Get(v).succ());
   }
 }
 
@@ -117,11 +145,10 @@ void EdgeIteratorModel::ExternalTriangles(const PageRangeView& internal,
   if (lo == hi) return;
   // Algorithm 10: W_uv = n_succ(u) ∩ n_succ(v) for every requester u,
   // with the loaded n_succ(v) marked once for all of them.
-  MarkedList marked(external_adj.succ(), scratch);
+  MarkedList marked(external_adj.succ(), sink, scratch);
   for (auto it = lo; it != hi; ++it) {
     const VertexId u = *it;
-    const auto& ws = marked.Probe(internal.Get(u).succ());
-    if (!ws.empty()) sink->Emit(u, external_vertex, ws);
+    marked.Probe(u, external_vertex, internal.Get(u).succ());
   }
 }
 
@@ -161,11 +188,10 @@ void VertexIteratorModel::ExternalTriangles(const PageRangeView& internal,
   if (lo == hi) return;
   // Algorithm 13: w ∈ n_succ(u) with id(w) > id(v) and (v, w) ∈ E_in,
   // i.e. n_succ(u) ∩ n_succ(v); the loaded n_succ(u) is marked once.
-  MarkedList marked(succ_u, scratch);
+  MarkedList marked(succ_u, sink, scratch);
   for (auto it = lo; it != hi; ++it) {
     const VertexId v = *it;
-    const auto& ws = marked.Probe(internal.Get(v).succ());
-    if (!ws.empty()) sink->Emit(u, v, ws);
+    marked.Probe(u, v, internal.Get(v).succ());
   }
 }
 

@@ -28,7 +28,7 @@ struct alignas(64) ModelScratch {
   ModelScratch() = default;
   explicit ModelScratch(VertexId universe) : marker(universe) {}
 
-  std::vector<VertexId> intersection;
+  std::vector<VertexId> intersection;  // W_uv, for sinks that Emit
   DenseBitmap marker;
 };
 

@@ -191,9 +191,9 @@ struct RunContext {
   Status first_error;
   std::atomic<bool> abort{false};
 
-  // Instrumentation (micros, summed across threads).
-  std::atomic<uint64_t> internal_cpu_micros{0};
-  std::atomic<uint64_t> external_cpu_micros{0};
+  // Instrumentation (summed across threads; CPU as thread CPU time).
+  std::atomic<uint64_t> internal_cpu_nanos{0};
+  std::atomic<uint64_t> external_cpu_nanos{0};
   std::atomic<uint64_t> external_pages{0};
   std::atomic<uint64_t> external_hits{0};
 
@@ -320,7 +320,7 @@ uint64_t PlanChunks(RunContext* ctx, std::vector<Chunk>* chunks) {
 /// (the page-granular parallel loop of Algorithm 5).
 void ProcessInternalPage(RunContext* ctx, uint32_t page_index,
                          ModelScratch* scratch) {
-  Stopwatch watch;
+  ThreadCpuStopwatch cpu;
   OverlapProfiler::SetWork(/*internal_work=*/true);
   if (!ctx->CheckCancel()) {
     PageView page(ctx->internal_page_data[page_index],
@@ -337,9 +337,8 @@ void ProcessInternalPage(RunContext* ctx, uint32_t page_index,
                                     seg.vertex, ctx->sink, scratch);
     }
   }
-  ctx->internal_cpu_micros.fetch_add(
-      static_cast<uint64_t>(watch.ElapsedMicros()),
-      std::memory_order_relaxed);
+  ctx->internal_cpu_nanos.fetch_add(cpu.ElapsedNanos(),
+                                    std::memory_order_relaxed);
   ctx->internal_pages_done.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -390,7 +389,6 @@ void PumpExternal(RunContext* ctx) {
 /// next read from L_later.
 void ProcessChunk(RunContext* ctx, Chunk chunk,
                   std::vector<Frame*> frames) {
-  Stopwatch watch;
   TraceSpan chunk_span(
       "opt", "external.chunk",
       CurrentTraceRecorder() != nullptr
@@ -416,6 +414,8 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
       break;
     }
   }
+  // External CPU counts from here: the frame waits above are not work.
+  ThreadCpuStopwatch cpu;
   OverlapProfiler::SetWork(/*internal_work=*/false);
   if (frames_ready.ok() && !ctx->CheckCancel()) {
     std::vector<const char*> data;
@@ -443,9 +443,8 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
     }
   }
   ctx->pool->Unpin(frames);
-  ctx->external_cpu_micros.fetch_add(
-      static_cast<uint64_t>(watch.ElapsedMicros()),
-      std::memory_order_relaxed);
+  ctx->external_cpu_nanos.fetch_add(cpu.ElapsedNanos(),
+                                    std::memory_order_relaxed);
 
   // Return the budget and chain further requests (the paper's atomic
   // block, lines 9-13).
@@ -766,8 +765,8 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     ctx.internal_page_count = pages;
     ctx.internal_cursor.store(0);
     ctx.internal_pages_done.store(0);
-    ctx.internal_cpu_micros.store(0);
-    ctx.external_cpu_micros.store(0);
+    ctx.internal_cpu_nanos.store(0);
+    ctx.external_cpu_nanos.store(0);
     ctx.external_pages.store(0);
     ctx.external_hits.store(0);
 
@@ -980,9 +979,9 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     pool->Unpin(ctx.internal_frames);
 
     iter.internal_cpu_seconds =
-        static_cast<double>(ctx.internal_cpu_micros.load()) * 1e-6;
+        static_cast<double>(ctx.internal_cpu_nanos.load()) * 1e-9;
     iter.external_cpu_seconds =
-        static_cast<double>(ctx.external_cpu_micros.load()) * 1e-6;
+        static_cast<double>(ctx.external_cpu_nanos.load()) * 1e-9;
     iter.external_pages = ctx.external_pages.load();
     iter.external_cache_hits = ctx.external_hits.load();
     iter.intersect = IntersectCounters::Delta(SnapshotIntersectCounters(),

@@ -106,8 +106,10 @@ struct IterationStats {
   double load_seconds = 0;            // internal-area fill (phase A) wall
   double plan_seconds = 0;            // external-load planning (phase B) wall
   double overlap_seconds = 0;         // triangulation (phase C) wall
-  double internal_cpu_seconds = 0;    // summed across threads
-  double external_cpu_seconds = 0;    // summed across threads
+  // Thread CPU time (not wall) of phase-C work, summed across threads.
+  // External work counts from the moment a chunk's frames are valid.
+  double internal_cpu_seconds = 0;
+  double external_cpu_seconds = 0;
   /// Per-kernel intersection activity during this iteration (delta of
   /// the process-wide counters; concurrent runners mix their counts).
   IntersectCounters intersect;

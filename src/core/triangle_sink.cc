@@ -5,6 +5,25 @@
 
 namespace opt {
 
+size_t CountingSink::ThreadCell() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t cell =
+      next.fetch_add(1, std::memory_order_relaxed) % kCells;
+  return cell;
+}
+
+uint64_t CountingSink::count() const {
+  uint64_t total = 0;
+  for (const Cell& c : cells_) {
+    total += c.value.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void CountingSink::Reset() {
+  for (Cell& c : cells_) c.value.store(0, std::memory_order_relaxed);
+}
+
 void VectorSink::Emit(VertexId u, VertexId v, std::span<const VertexId> ws) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (VertexId w : ws) triangles_.push_back({u, v, w});

@@ -34,19 +34,43 @@ class TriangleSink {
 
   /// Flushes buffered output. Called once when triangulation completes.
   virtual Status Finish() { return Status::OK(); }
+
+  /// True when the sink needs only how many triangles there are. The
+  /// iterator models then skip building the sets: they call AddCount
+  /// once per model call with the summed set sizes, and never Emit.
+  /// Sinks that forward Emit to other sinks keep the default.
+  virtual bool counts_only() const { return false; }
+
+  /// Reports `n` triangles without naming them. Called only on a sink
+  /// whose counts_only() is true.
+  virtual void AddCount(uint64_t /*n*/) {}
 };
 
-/// Counts triangles; O(1) memory.
-class CountingSink : public TriangleSink {
+/// Counts triangles; O(1) memory. Declares counts_only(). The total is
+/// striped over cache-line-padded cells picked by the calling thread, so
+/// concurrent Emit and AddCount calls do not contend on one line.
+class CountingSink final : public TriangleSink {
  public:
   void Emit(VertexId, VertexId, std::span<const VertexId> ws) override {
-    count_.fetch_add(ws.size(), std::memory_order_relaxed);
+    AddCount(ws.size());
   }
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  void Reset() { count_.store(0); }
+  bool counts_only() const override { return true; }
+  void AddCount(uint64_t n) override {
+    cells_[ThreadCell()].value.fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t count() const;
+  void Reset();
 
  private:
-  std::atomic<uint64_t> count_{0};
+  static constexpr size_t kCells = 16;
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> value{0};
+  };
+  /// The calling thread's stripe: threads take cells round-robin in the
+  /// order they first count.
+  static size_t ThreadCell();
+
+  Cell cells_[kCells];
 };
 
 /// Collects all triangles in memory (tests and small graphs only).

@@ -57,17 +57,7 @@ struct ThreadCounterSlot {
 };
 
 inline void CountCall(IntersectKernel kernel, size_t elements) {
-  thread_local ThreadCounterSlot slot;
-  const int k = static_cast<int>(kernel);
-  // Each cell has one writer (its thread), so a relaxed load and store
-  // replace the locked read-modify-write; snapshot readers still see a
-  // whole value because the cells stay atomic.
-  std::atomic<uint64_t>& calls = slot.cell.calls[k];
-  std::atomic<uint64_t>& elems = slot.cell.elements[k];
-  calls.store(calls.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
-  elems.store(elems.load(std::memory_order_relaxed) + elements,
-              std::memory_order_relaxed);
+  RecordIntersectCalls(kernel, 1, elements);
 }
 
 // ---------------------------------------------------------------------------
@@ -603,6 +593,21 @@ IntersectCounters SnapshotIntersectCounters() {
   return snapshot;
 }
 
+void RecordIntersectCalls(IntersectKernel kernel, uint64_t calls,
+                          uint64_t elements) {
+  thread_local ThreadCounterSlot slot;
+  const int k = static_cast<int>(kernel);
+  // Each cell has one writer (its thread), so a relaxed load and store
+  // replace the locked read-modify-write; snapshot readers still see a
+  // whole value because the cells stay atomic.
+  std::atomic<uint64_t>& cell_calls = slot.cell.calls[k];
+  std::atomic<uint64_t>& cell_elems = slot.cell.elements[k];
+  cell_calls.store(cell_calls.load(std::memory_order_relaxed) + calls,
+                   std::memory_order_relaxed);
+  cell_elems.store(cell_elems.load(std::memory_order_relaxed) + elements,
+                   std::memory_order_relaxed);
+}
+
 // ---------------------------------------------------------------------------
 // Explicit-kernel entry points.
 // ---------------------------------------------------------------------------
@@ -664,12 +669,19 @@ void DenseBitmap::SetFrom(std::span<const VertexId> sorted_ids) {
   }
 }
 
+// The population is updated once per call, not per id: a per-id update
+// of the member may alias the word being stored, which serializes the
+// stores.
+void DenseBitmap::SetDistinct(std::span<const VertexId> distinct_ids) {
+  uint64_t* words = words_.data();
+  for (VertexId v : distinct_ids) words[v >> 6] |= uint64_t{1} << (v & 63);
+  popcount_ += distinct_ids.size();
+}
+
 void DenseBitmap::ClearFrom(std::span<const VertexId> ids) {
-  for (VertexId v : ids) {
-    uint64_t& word = words_[v >> 6];
-    popcount_ -= static_cast<uint64_t>(__builtin_popcountll(word));
-    word = 0;
-  }
+  uint64_t* words = words_.data();
+  for (VertexId v : ids) words[v >> 6] = 0;
+  popcount_ = 0;
 }
 
 uint64_t IntersectCountBitmapSparseWith(IntersectKernel kernel,
@@ -677,9 +689,11 @@ uint64_t IntersectCountBitmapSparseWith(IntersectKernel kernel,
                                         const DenseBitmap& dense) {
   const IntersectKernel resolved = ResolveBitmapKernel(kernel);
   CountCall(resolved, sparse.size() + dense.popcount());
-  CountEmitter emit;
-  BitmapSparseProbe(sparse, dense, emit);
-  return emit.count;
+  // Ids past the universe are never set; sorted input drops them as a
+  // tail, so the bit-test loop needs no bounds check.
+  const auto in_universe = std::lower_bound(sparse.begin(), sparse.end(),
+                                            dense.universe());
+  return CountBitmapSparse({sparse.begin(), in_universe}, dense);
 }
 
 size_t IntersectBitmapSparseWith(IntersectKernel kernel,

@@ -154,6 +154,13 @@ struct IntersectCounters {
 /// Sums the thread-local counter cells (live threads + retired ones).
 IntersectCounters SnapshotIntersectCounters();
 
+/// Adds `calls` invocations of `kernel` consuming `elements` elements
+/// to this thread's cell in one update — for callers that run an
+/// uncounted inner loop (CountBitmapSparse) many times and record the
+/// work once.
+void RecordIntersectCalls(IntersectKernel kernel, uint64_t calls,
+                          uint64_t elements);
+
 // ---------------------------------------------------------------------------
 // Explicit-kernel entry points (ablation + tests). kAuto resolves to
 // the best supported kernel; an unsupported kernel falls back to scalar
@@ -196,9 +203,16 @@ class DenseBitmap {
   /// duplicates collapse). Callable repeatedly; bits accumulate.
   void SetFrom(std::span<const VertexId> sorted_ids);
 
-  /// Zeroes every word that holds one of `ids` (each < universe()).
-  /// After SetFrom(ids) on an empty bitmap this empties it again in
-  /// O(|ids|), without touching the rest of the universe.
+  /// Sets the bits of `distinct_ids` (each < universe(), none set yet)
+  /// with plain word stores, and adds |distinct_ids| to the population
+  /// once instead of testing each bit.
+  void SetDistinct(std::span<const VertexId> distinct_ids);
+
+  /// Zeroes every word that holds one of `ids` (each < universe()) with
+  /// plain stores, and sets the population to 0: `ids` must cover every
+  /// set bit, as after SetDistinct(ids) or SetFrom(ids) on an empty
+  /// bitmap. Empties it again in O(|ids|), without touching the rest of
+  /// the universe.
   void ClearFrom(std::span<const VertexId> ids);
 
   bool Test(VertexId v) const {
@@ -206,7 +220,7 @@ class DenseBitmap {
   }
 
   VertexId universe() const { return universe_; }
-  /// Number of set bits (maintained by SetFrom).
+  /// Number of set bits (maintained by SetFrom and SetDistinct).
   uint64_t popcount() const { return popcount_; }
   std::span<const uint64_t> words() const { return words_; }
   /// Heap bytes held by the word array (bitmap memory accounting).
@@ -217,6 +231,25 @@ class DenseBitmap {
   uint64_t popcount_ = 0;
   std::vector<uint64_t> words_;
 };
+
+/// |sparse ∩ dense| by branch-free bit tests — the uncounted inner
+/// loop of IntersectCountBitmapSparseWith, inline for callers that probe
+/// one bitmap many times and record the work once
+/// (RecordIntersectCalls). `sparse` must be sorted with every id
+/// < dense.universe(); duplicate ids count once.
+inline uint64_t CountBitmapSparse(std::span<const VertexId> sparse,
+                                  const DenseBitmap& dense) {
+  if (sparse.empty()) return 0;
+  const uint64_t* words = dense.words().data();
+  const auto bit = [words](VertexId v) -> uint64_t {
+    return (words[v >> 6] >> (v & 63)) & 1u;
+  };
+  uint64_t count = bit(sparse[0]);
+  for (size_t i = 1; i < sparse.size(); ++i) {
+    count += bit(sparse[i]) & uint64_t{sparse[i] != sparse[i - 1]};
+  }
+  return count;
+}
 
 /// b ∩ dense, restricted to values in [lo, hi] — for hub routing, where
 /// the caller's span is a contiguous slice of the bitmap's id list and

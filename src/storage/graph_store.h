@@ -95,11 +95,6 @@ class GraphStore {
   /// page. Corruption names the first bad page.
   Status VerifyAllPages() const;
 
-  /// Full-degree histogram (|n(v)| for every vertex) from one sequential
-  /// page scan — segment headers carry the full degree, so only first
-  /// segments are consulted. Feeds the hub-split resolution.
-  Result<std::vector<uint32_t>> ComputeDegrees() const;
-
   VertexId num_vertices() const { return num_vertices_; }
   uint32_t num_pages() const { return file_->num_pages(); }
   uint32_t page_size() const { return page_size_; }

@@ -1,6 +1,9 @@
-// Wall-clock stopwatch used by the experiment harness.
+// Wall-clock stopwatch used by the experiment harness, and a per-thread
+// CPU-time one for the runner's phase-C CPU split.
 #ifndef OPT_UTIL_STOPWATCH_H_
 #define OPT_UTIL_STOPWATCH_H_
+
+#include <time.h>
 
 #include <chrono>
 #include <cstdint>
@@ -27,6 +30,26 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
+};
+
+/// CPU time the calling thread has used since construction
+/// (CLOCK_THREAD_CPUTIME_ID): time spent blocked or descheduled does not
+/// count. Read it on the thread that made it.
+class ThreadCpuStopwatch {
+ public:
+  ThreadCpuStopwatch() : start_(Now()) {}
+
+  uint64_t ElapsedNanos() const { return Now() - start_; }
+
+ private:
+  static uint64_t Now() {
+    timespec ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<uint64_t>(ts.tv_sec) * 1000000000u +
+           static_cast<uint64_t>(ts.tv_nsec);
+  }
+
+  uint64_t start_;
 };
 
 /// Accumulates wall-clock time over multiple start/stop intervals; used to

@@ -3,7 +3,12 @@
 // against the in-memory edge-iterator oracle.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 #include "core/ideal.h"
 #include "core/iterator_model.h"
@@ -44,6 +49,38 @@ TEST(CountingSinkTest, CountsAcrossEmits) {
   sink.Emit(0, 1, ws1);
   sink.Emit(2, 5, ws2);
   EXPECT_EQ(sink.count(), 3u);
+  sink.Reset();
+  EXPECT_EQ(sink.count(), 0u);
+}
+
+TEST(CountingSinkTest, ConcurrentEmitAndAddCountSumExactly) {
+  // Threads mix per-set Emit with bulk AddCount, as concurrent runs of
+  // both paths would; every triangle lands in exactly one stripe.
+  CountingSink sink;
+  EXPECT_TRUE(sink.counts_only());
+  constexpr int kThreads = 8;
+  constexpr uint64_t kRounds = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sink, t] {
+      const VertexId ws[] = {5, 6, 7};
+      for (uint64_t i = 0; i < kRounds; ++i) {
+        if ((i + t) % 2 == 0) {
+          sink.Emit(0, 1, ws);
+        } else {
+          sink.AddCount(i % 5);
+        }
+      }
+    });
+  }
+  uint64_t want = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (uint64_t i = 0; i < kRounds; ++i) {
+      want += (i + t) % 2 == 0 ? 3 : i % 5;
+    }
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(sink.count(), want);
   sink.Reset();
   EXPECT_EQ(sink.count(), 0u);
 }
@@ -423,6 +460,46 @@ TEST(OptRunnerTest, PhaseWallTimesAddUpToTheRunTotals) {
   EXPECT_NEAR(stats.parallel_seconds, overlap, 1e-3);
   EXPECT_LE(stats.serial_seconds + stats.parallel_seconds,
             stats.elapsed_seconds + 1e-3);
+}
+
+TEST(OptRunnerTest, PhaseCCpuIsNoMoreThanTheProcessUsed) {
+  // internal/external_cpu_seconds are thread CPU time, so with more
+  // threads than cores (descheduled work) and frame waits they still sum
+  // to no more than the CPU the whole process used over the run.
+  RmatOptions rmat;
+  rmat.scale = 15;
+  rmat.edge_factor = 16;
+  rmat.seed = 5;
+  CSRGraph g = GenerateRmat(rmat);
+  auto store = testutil::MakeStore(g, Env::Default(), "opt_phase_cpu");
+  OptOptions options;
+  options.m_in = std::max(store->MaxRecordPages(), store->num_pages() / 4);
+  options.m_ex = options.m_in;
+  options.num_threads =
+      std::min(16u, 4 * std::max(1u, std::thread::hardware_concurrency()));
+  EdgeIteratorModel model;
+  OptRunner runner(store.get(), &model, options);
+  CountingSink sink;
+  OptRunStats stats;
+  const auto process_cpu = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const auto secs = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) + tv.tv_usec * 1e-6;
+    };
+    return secs(usage.ru_utime) + secs(usage.ru_stime);
+  };
+  const double before = process_cpu();
+  ASSERT_TRUE(runner.Run(&sink, &stats).ok());
+  const double used = process_cpu() - before;
+  ASSERT_GT(stats.iterations, 1u);
+  double phase_c = 0;
+  for (const IterationStats& iter : stats.per_iteration) {
+    phase_c += iter.internal_cpu_seconds + iter.external_cpu_seconds;
+  }
+  EXPECT_GT(phase_c, 0.0);
+  // getrusage truncates user and system time to microseconds each.
+  EXPECT_LE(phase_c, used + 2e-6);
 }
 
 TEST(OptRunnerTest, MinimalExternalAreaStressesChaining) {

@@ -7,6 +7,8 @@
 // with seeded FaultPlans, asserting each run either surfaces the typed
 // Unavailable or produces the exact result — never a silently wrong
 // count. Failing fault trials print a one-line `--fault-plan` repro.
+// The count-only path (a CountingSink) must match the Emit path's total
+// and intersect counters.
 // A kernel-isolation test checks that a run neither installs nor clears
 // the caller's intersection kernel. The candidate-planning
 // test recomputes each iteration's external candidates and page runs
@@ -28,7 +30,6 @@
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
 #include "gen/rmat.h"
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "storage/env.h"
 #include "storage/fault_env.h"
@@ -240,6 +241,51 @@ TEST_F(DifferentialTest, VertexIteratorModelMatchesInMemoryBaseline) {
   }
 }
 
+TEST_F(DifferentialTest, CountOnlyPathMatchesEmitPath) {
+  // A CountingSink declares counts_only(), so both models count their
+  // sets instead of building them; a TeeSink around another
+  // CountingSink does not, so the same run goes through Emit. On the
+  // skewed R-MAT store both totals must equal the oracle, and the two
+  // paths must report the same intersect calls and elements.
+  CSRGraph g = MakeRmat(42);
+  const uint64_t oracle = testutil::OracleTriangles(g).size();
+  ASSERT_GT(oracle, 0u);
+  auto store = testutil::MakeStore(g, Env::Default(), "diff_count", 256);
+  const EdgeIteratorModel edge;
+  const VertexIteratorModel vertex;
+  for (const IteratorModel* model :
+       std::initializer_list<const IteratorModel*>{&edge, &vertex}) {
+    for (const Split& split : MakeSplits(*store)) {
+      for (uint32_t threads : {1u, 4u, 8u}) {
+        SCOPED_TRACE(std::string(model->name()) + " " +
+                     ConfigLabel(split, threads, true, false));
+        OptRunner runner(store.get(), model,
+                         MakeOptions(split, threads, true, false));
+        CountingSink counting;
+        ASSERT_TRUE(counting.counts_only());
+        OptRunStats count_stats;
+        Status s = runner.Run(&counting, &count_stats);
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        EXPECT_EQ(counting.count(), oracle);
+
+        CountingSink inner;
+        TeeSink emitting({&inner});
+        ASSERT_FALSE(emitting.counts_only());
+        OptRunStats emit_stats;
+        s = runner.Run(&emitting, &emit_stats);
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        EXPECT_EQ(inner.count(), oracle);
+
+        EXPECT_GT(count_stats.intersect.TotalCalls(), 0u);
+        EXPECT_EQ(count_stats.intersect.TotalCalls(),
+                  emit_stats.intersect.TotalCalls());
+        EXPECT_EQ(count_stats.intersect.TotalElements(),
+                  emit_stats.intersect.TotalElements());
+      }
+    }
+  }
+}
+
 /// Phase B's plan for one iteration over [v_lo, v_hi], recomputed from
 /// the CSR graph and the store's page directory: the external candidate
 /// set of the model, and how many disjoint page runs its records cover
@@ -348,30 +394,6 @@ TEST_F(DifferentialTest, PageRunsReadEveryPageInFewerDeviceReads) {
   const uint64_t pages = stats.internal_pages_read + stats.external_pages_read;
   EXPECT_LT(env.stats().reads.load(), pages);
   EXPECT_EQ(env.stats().read_bytes.load(), pages * store->page_size());
-}
-
-TEST_F(DifferentialTest, StoreComputeDegreesMatchesCsrGraph) {
-  // Cross-check GraphStore::ComputeDegrees()'s page scan against the
-  // in-memory CSR degrees, and the hub split's nearest-rank percentile
-  // rule against a direct count.
-  CSRGraph g = MakeRmat(13);
-  auto store = testutil::MakeStore(g, Env::Default(), "diff_degrees", 256);
-  auto degrees = store->ComputeDegrees();
-  ASSERT_TRUE(degrees.ok()) << degrees.status().ToString();
-  ASSERT_EQ(degrees->size(), g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ((*degrees)[v], g.degree(v)) << "vertex " << v;
-  }
-  // p99 threshold: at most ~1% of vertices may strictly exceed it.
-  HubSplitSpec spec;
-  spec.mode = HubSplitSpec::Mode::kPercentile;
-  spec.percentile = 99.0;
-  const uint32_t threshold =
-      ResolveHubDegreeThreshold(spec, *degrees, g.num_vertices());
-  ASSERT_NE(threshold, kNoHubThreshold);
-  size_t above = 0;
-  for (uint32_t d : *degrees) above += d > threshold ? 1 : 0;
-  EXPECT_LE(above, g.num_vertices() / 100 + 1);
 }
 
 TEST_F(DifferentialTest, RandomizedFaultOffsetsNeverYieldWrongCounts) {

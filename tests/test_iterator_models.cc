@@ -4,9 +4,9 @@
 // area holds n(a)..n(d); {e,f,g,h} become external candidates; the
 // internal triangles are {abc, cdf} and the external ones {def, cfg,
 // cgh}. The marker-reuse tests run one ModelScratch through a sequence
-// of overlapping records and check every call against
-// std::set_intersection, so a successor marker left dirty by one call
-// shows up as extra ids in a later one.
+// of overlapping records and check every call, on the Emit path and on
+// the count path, against std::set_intersection, so a successor marker
+// left dirty by one call shows up as extra ids in a later one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "core/page_range_view.h"
 #include "core/triangle_sink.h"
 #include "graph/builder.h"
+#include "graph/intersect.h"
 #include "storage/graph_store.h"
 #include "test_helpers.h"
 #include "util/random.h"
@@ -207,6 +208,52 @@ class RecordingSink : public TriangleSink {
   std::vector<Call> calls;
 };
 
+/// A counts_only() sink that records what the models hand it.
+class TallySink : public TriangleSink {
+ public:
+  void Emit(VertexId, VertexId, std::span<const VertexId>) override {
+    ++emits;
+  }
+  bool counts_only() const override { return true; }
+  void AddCount(uint64_t n) override {
+    ++adds;
+    total += n;
+  }
+  uint64_t emits = 0, adds = 0, total = 0;
+};
+
+uint64_t Triangles(const std::vector<Call>& calls) {
+  uint64_t total = 0;
+  for (const Call& c : calls) total += c.ws.size();
+  return total;
+}
+
+/// Runs one model call through the Emit path and again through the
+/// count path, both on `scratch`. The Emit path must produce exactly
+/// `want`; the count path must add the same number of triangles in at
+/// most one AddCount and no Emit; both must record the same intersect
+/// work.
+template <typename ModelCall>
+void CheckBothPaths(const std::vector<Call>& want, ModelCall call) {
+  RecordingSink emitted;
+  IntersectCounters before = SnapshotIntersectCounters();
+  call(&emitted);
+  const IntersectCounters emit_work =
+      IntersectCounters::Delta(SnapshotIntersectCounters(), before);
+  ASSERT_EQ(emitted.calls, want);
+
+  TallySink counted;
+  before = SnapshotIntersectCounters();
+  call(&counted);
+  const IntersectCounters count_work =
+      IntersectCounters::Delta(SnapshotIntersectCounters(), before);
+  EXPECT_EQ(counted.emits, 0u);
+  EXPECT_LE(counted.adds, 1u);
+  ASSERT_EQ(counted.total, Triangles(want));
+  EXPECT_EQ(count_work.TotalCalls(), emit_work.TotalCalls());
+  EXPECT_EQ(count_work.TotalElements(), emit_work.TotalElements());
+}
+
 std::vector<VertexId> Common(std::span<const VertexId> a,
                              std::span<const VertexId> b) {
   std::vector<VertexId> out;
@@ -256,7 +303,8 @@ CSRGraph MarkerGraph() {
 /// record in ascending order of its largest successor (so later records
 /// reach ids past every earlier maximum), all through ONE scratch whose
 /// marker starts empty and grows. Every call must emit exactly
-/// (u, v, n_succ(u) ∩ n_succ(v)) for its pairs, in order.
+/// (u, v, n_succ(u) ∩ n_succ(v)) for its pairs, in order, and its count
+/// probe, run next on the same scratch, must add their total size.
 void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
   const CSRGraph g = MarkerGraph();
   auto store = testutil::MakeStore(g, Env::Default(),
@@ -291,9 +339,9 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
     for (VertexId v : g.Successors(u)) {
       if (in_plan(v)) pair(u, v, &want);
     }
-    RecordingSink sink;
-    model.InternalTriangles(view, plan, u, &sink, &scratch);
-    ASSERT_EQ(sink.calls, want);
+    CheckBothPaths(want, [&](TriangleSink* sink) {
+      model.InternalTriangles(view, plan, u, sink, &scratch);
+    });
   }
 
   const VertexId hub = edge_model ? kEdgeHub : kVertexHub;
@@ -338,9 +386,9 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
       ASSERT_GE(requesters, 200u);
       hub_pairs = want.size();
     }
-    RecordingSink sink;
-    model.ExternalTriangles(view, plan, x, view.Get(x), &sink, &scratch);
-    ASSERT_EQ(sink.calls, want);
+    CheckBothPaths(want, [&](TriangleSink* sink) {
+      model.ExternalTriangles(view, plan, x, view.Get(x), sink, &scratch);
+    });
   }
   EXPECT_GT(hub_pairs, 0u);
 }
