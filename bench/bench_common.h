@@ -7,7 +7,7 @@
 //   --threads  N      worker threads for parallel methods
 //   --work_dir PATH   where graph stores are materialized
 //   --kernel   K      pairwise intersection kernel of the in-memory
-//                     passes: scalar|avx2|bitmap|bitmap_scalar|auto
+//                     passes: scalar|avx2|auto
 //                     (default auto). Binaries with such passes install
 //                     it in an IntersectScope on their main thread; OPT
 //                     and the harness methods intersect by

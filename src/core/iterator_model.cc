@@ -17,11 +17,11 @@ namespace {
 /// where a pairwise merge walks it once per partner.
 ///
 /// For a counts_only() sink the sets are never built: Probe adds each
-/// set's size, and destruction hands the total to AddCount and the
-/// probes to the intersect counters, once per model call. Other sinks
-/// get every non-empty set through Emit, with the counters updated per
-/// probe. Both paths count the same calls (one per non-empty clamped
-/// probe) and elements (clamped probe + marked list).
+/// set's size, and destruction hands the total to AddCount. Other sinks
+/// get every non-empty set through Emit. Both paths count the same calls
+/// (one per non-empty clamped probe) and elements (clamped probe +
+/// marked list), and destruction records them in the intersect counters
+/// once per model call.
 class MarkedList {
  public:
   MarkedList(std::span<const VertexId> list, TriangleSink* sink,
@@ -43,8 +43,7 @@ class MarkedList {
       marker.Reset(static_cast<VertexId>(std::min<uint64_t>(
           wanted, std::numeric_limits<VertexId>::max())));
     }
-    // Adjacency lists are strictly increasing, so the marker's
-    // population is the list's length.
+    // Adjacency lists are strictly increasing, so no id repeats.
     marker.SetDistinct(list_);
   }
   ~MarkedList() {
@@ -67,17 +66,20 @@ class MarkedList {
         std::lower_bound(partner.data(), end, list_.front());
     const VertexId* last = std::upper_bound(first, end, list_.back());
     if (first == last) return;
+    ++calls_;
+    elements_ += static_cast<uint64_t>(last - first) + list_.size();
     if (counts_only_) {
-      ++calls_;
-      elements_ += static_cast<uint64_t>(last - first) + list_.size();
       triangles_ += CountBitmapSparse({first, last}, scratch_->marker);
       return;
     }
+    // A buffer for the longest probe so far: it only grows, so no probe
+    // pays for initializing it.
     std::vector<VertexId>& ws = scratch_->intersection;
-    ws.clear();
-    IntersectBitmapSparseWith(IntersectKernel::kBitmapScalar, {first, last},
-                              scratch_->marker, &ws);
-    if (!ws.empty()) sink_->Emit(u, v, ws);
+    const size_t probe = static_cast<size_t>(last - first);
+    if (ws.size() < probe) ws.resize(probe);
+    const size_t n =
+        CollectBitmapSparse({first, last}, scratch_->marker, ws.data());
+    if (n > 0) sink_->Emit(u, v, {ws.data(), n});
   }
 
  private:
@@ -85,7 +87,7 @@ class MarkedList {
   TriangleSink* sink_;
   ModelScratch* scratch_;
   const bool counts_only_;
-  // Count path only: this call's probes and triangles.
+  // This call's probes, and on the count path its triangles.
   uint64_t calls_ = 0;
   uint64_t elements_ = 0;
   uint64_t triangles_ = 0;

@@ -28,7 +28,8 @@ struct alignas(64) ModelScratch {
   ModelScratch() = default;
   explicit ModelScratch(VertexId universe) : marker(universe) {}
 
-  std::vector<VertexId> intersection;  // W_uv, for sinks that Emit
+  // W_uv for sinks that Emit; as long as the longest probe so far.
+  std::vector<VertexId> intersection;
   DenseBitmap marker;
 };
 

@@ -97,7 +97,6 @@ class DifferentialTest : public ::testing::Test {
     // Runs install no intersection scope: nothing may stay installed on
     // the calling thread once Run() returns.
     EXPECT_EQ(ActiveIntersectKernel(), BestIntersectKernel());
-    EXPECT_EQ(CurrentHubBitmapIndex(), nullptr);
   }
 };
 

@@ -5,12 +5,14 @@
 // internal triangles are {abc, cdf} and the external ones {def, cfg,
 // cgh}. The marker-reuse tests run one ModelScratch through a sequence
 // of overlapping records and check every call, on the Emit path and on
-// the count path, against std::set_intersection, so a successor marker
-// left dirty by one call shows up as extra ids in a later one.
+// the count path, against std::set_intersection and against the
+// intersect work it must record, and check the marker is all zero after
+// each call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 
 #include "core/iterator_model.h"
 #include "core/page_range_view.h"
@@ -228,30 +230,67 @@ uint64_t Triangles(const std::vector<Call>& calls) {
   return total;
 }
 
+/// The intersect work one model call must record: one call per probe
+/// whose partner list, clamped to the marked list's id range, is not
+/// empty, consuming that clamp plus the marked list.
+struct Work {
+  uint64_t calls = 0, elements = 0;
+
+  void AddProbe(std::span<const VertexId> marked,
+                std::span<const VertexId> partner) {
+    if (marked.empty()) return;
+    const auto first =
+        std::lower_bound(partner.begin(), partner.end(), marked.front());
+    const auto last = std::upper_bound(first, partner.end(), marked.back());
+    if (first == last) return;
+    ++calls;
+    elements += static_cast<uint64_t>(last - first) + marked.size();
+  }
+};
+
+/// `got` holds exactly `want`, all of it in the mark-and-probe slot.
+void ExpectProbeWork(const IntersectCounters& got, const Work& want) {
+  const int slot = static_cast<int>(IntersectKernel::kBitmapScalar);
+  EXPECT_EQ(got.calls[slot], want.calls);
+  EXPECT_EQ(got.elements[slot], want.elements);
+  EXPECT_EQ(got.TotalCalls(), want.calls);
+  EXPECT_EQ(got.TotalElements(), want.elements);
+}
+
+void ExpectMarkerClear(const ModelScratch& scratch) {
+  const auto words = scratch.marker.words();
+  EXPECT_TRUE(std::all_of(words.begin(), words.end(),
+                          [](uint64_t w) { return w == 0; }))
+      << "marker bits left set";
+}
+
 /// Runs one model call through the Emit path and again through the
 /// count path, both on `scratch`. The Emit path must produce exactly
 /// `want`; the count path must add the same number of triangles in at
-/// most one AddCount and no Emit; both must record the same intersect
-/// work.
+/// most one AddCount and no Emit; both must record `work` and leave the
+/// marker all zero.
 template <typename ModelCall>
-void CheckBothPaths(const std::vector<Call>& want, ModelCall call) {
+void CheckBothPaths(const std::vector<Call>& want, const Work& work,
+                    const ModelScratch& scratch, ModelCall call) {
   RecordingSink emitted;
   IntersectCounters before = SnapshotIntersectCounters();
   call(&emitted);
-  const IntersectCounters emit_work =
-      IntersectCounters::Delta(SnapshotIntersectCounters(), before);
+  ExpectProbeWork(IntersectCounters::Delta(SnapshotIntersectCounters(),
+                                           before),
+                  work);
+  ExpectMarkerClear(scratch);
   ASSERT_EQ(emitted.calls, want);
 
   TallySink counted;
   before = SnapshotIntersectCounters();
   call(&counted);
-  const IntersectCounters count_work =
-      IntersectCounters::Delta(SnapshotIntersectCounters(), before);
+  ExpectProbeWork(IntersectCounters::Delta(SnapshotIntersectCounters(),
+                                           before),
+                  work);
+  ExpectMarkerClear(scratch);
   EXPECT_EQ(counted.emits, 0u);
   EXPECT_LE(counted.adds, 1u);
   ASSERT_EQ(counted.total, Triangles(want));
-  EXPECT_EQ(count_work.TotalCalls(), emit_work.TotalCalls());
-  EXPECT_EQ(count_work.TotalElements(), emit_work.TotalElements());
 }
 
 std::vector<VertexId> Common(std::span<const VertexId> a,
@@ -327,19 +366,23 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
   const auto in_plan = [&plan](VertexId x) {
     return x >= plan.v_lo && x <= plan.v_hi;
   };
-  const auto pair = [&g](VertexId u, VertexId v, std::vector<Call>* out) {
+  // One probe of the pair (u, v) with `marked`'s list marked (u or v).
+  const auto pair = [&g](VertexId u, VertexId v, VertexId marked,
+                         std::vector<Call>* out, Work* work) {
     std::vector<VertexId> ws = Common(g.Successors(u), g.Successors(v));
     if (!ws.empty()) out->push_back({u, v, std::move(ws)});
+    work->AddProbe(g.Successors(marked), g.Successors(marked == u ? v : u));
   };
 
   ModelScratch scratch;
   for (VertexId u = plan.v_lo; u <= plan.v_hi; ++u) {
     SCOPED_TRACE("internal u=" + std::to_string(u));
     std::vector<Call> want;
+    Work work;
     for (VertexId v : g.Successors(u)) {
-      if (in_plan(v)) pair(u, v, &want);
+      if (in_plan(v)) pair(u, v, u, &want, &work);
     }
-    CheckBothPaths(want, [&](TriangleSink* sink) {
+    CheckBothPaths(want, work, scratch, [&](TriangleSink* sink) {
       model.InternalTriangles(view, plan, u, sink, &scratch);
     });
   }
@@ -364,13 +407,14 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
   for (VertexId x : records) {
     SCOPED_TRACE("external record " + std::to_string(x));
     std::vector<Call> want;
+    Work work;
     uint64_t requesters = 0;
     if (edge_model) {
       // Requesters u ∈ n_prec(x) ∩ [v_lo, v_hi].
       for (VertexId u : g.Neighbors(x)) {
         if (u < x && in_plan(u)) {
           ++requesters;
-          pair(u, x, &want);
+          pair(u, x, x, &want, &work);
         }
       }
     } else {
@@ -378,7 +422,7 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
       for (VertexId v : g.Successors(x)) {
         if (in_plan(v)) {
           ++requesters;
-          pair(x, v, &want);
+          pair(x, v, x, &want, &work);
         }
       }
     }
@@ -386,7 +430,7 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
       ASSERT_GE(requesters, 200u);
       hub_pairs = want.size();
     }
-    CheckBothPaths(want, [&](TriangleSink* sink) {
+    CheckBothPaths(want, work, scratch, [&](TriangleSink* sink) {
       model.ExternalTriangles(view, plan, x, view.Get(x), sink, &scratch);
     });
   }

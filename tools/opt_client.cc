@@ -61,7 +61,7 @@ void PrintStats(const StatsResult& stats) {
   uint64_t fetch_lookups = 0;
   uint64_t fetch_hits = 0;
   uint64_t io_giveups = 0;
-  uint64_t bitmap_calls = 0, bitmap_elements = 0;
+  uint64_t probe_calls = 0, probe_elements = 0;
   uint64_t merge_calls = 0, merge_elements = 0;
   uint64_t perf_cycles = 0, perf_instructions = 0, perf_llc_misses = 0;
   uint64_t perf_task_clock_ns = 0;
@@ -72,15 +72,13 @@ void PrintStats(const StatsResult& stats) {
       if (c.name == "pool.fetch.lookups") fetch_lookups = c.value;
       if (c.name == "pool.fetch.hits") fetch_hits = c.value;
       if (c.name == "io.giveups") io_giveups = c.value;
-      // OPT's mark-and-probe runs on the bitmap kernels; the merge
+      // OPT's mark-and-probe counts under bitmap_scalar; the merge
       // family (scalar / avx2) serves the in-memory paths.
-      if (c.name == "opt.intersect.bitmap.calls" ||
-          c.name == "opt.intersect.bitmap_scalar.calls") {
-        bitmap_calls += c.value;
+      if (c.name == "opt.intersect.bitmap_scalar.calls") {
+        probe_calls = c.value;
       }
-      if (c.name == "opt.intersect.bitmap.elements" ||
-          c.name == "opt.intersect.bitmap_scalar.elements") {
-        bitmap_elements += c.value;
+      if (c.name == "opt.intersect.bitmap_scalar.elements") {
+        probe_elements = c.value;
       }
       if (c.name == "opt.intersect.scalar.calls" ||
           c.name == "opt.intersect.avx2.calls") {
@@ -116,11 +114,11 @@ void PrintStats(const StatsResult& stats) {
                                         : end - start);
   };
   const std::string perf_backend = text_value("perf.backend");
-  if (bitmap_calls > 0 || merge_calls > 0) {
+  if (probe_calls > 0 || merge_calls > 0) {
     TablePrinter table({"intersect", "value"});
-    table.AddRow({"bitmap kernel calls", TablePrinter::Fmt(bitmap_calls)});
+    table.AddRow({"mark-and-probe calls", TablePrinter::Fmt(probe_calls)});
     table.AddRow(
-        {"bitmap kernel elements", TablePrinter::Fmt(bitmap_elements)});
+        {"mark-and-probe elements", TablePrinter::Fmt(probe_elements)});
     table.AddRow({"merge kernel calls", TablePrinter::Fmt(merge_calls)});
     table.AddRow(
         {"merge kernel elements", TablePrinter::Fmt(merge_elements)});
