@@ -6,7 +6,7 @@
 #include "util/aligned_buffer.h"
 
 #include "core/iterator_model.h"
-#include "core/page_range_view.h"
+#include "core/successor_index.h"
 #include "storage/record_scanner.h"
 #include "util/stopwatch.h"
 
@@ -31,6 +31,7 @@ Status RunMgt(GraphStore* store, TriangleSink* sink,
 
   const uint32_t page_size = store->page_size();
   VertexIteratorModel model;
+  SuccessorIndex internal;  // one buffer-load's n_succ, reused per load
 
   VertexId v_start = 0;
   while (v_start < n) {
@@ -52,8 +53,7 @@ Status RunMgt(GraphStore* store, TriangleSink* sink,
       }
       page_data[i] = dst;
     }
-    PageRangeView view;
-    OPT_RETURN_IF_ERROR(view.Build(*store, plan.pid_lo, page_data));
+    OPT_RETURN_IF_ERROR(internal.Build(*store, plan, page_data));
 
     // Re-scan the entire graph; every record is an external candidate.
     ModelScratch scratch(store->num_vertices());
@@ -65,7 +65,7 @@ Status RunMgt(GraphStore* store, TriangleSink* sink,
           adj.succ_begin = static_cast<uint32_t>(
               std::upper_bound(neighbors.begin(), neighbors.end(), u) -
               neighbors.begin());
-          model.ExternalTriangles(view, plan, u, adj, sink, &scratch);
+          model.ExternalTriangles(internal, plan, u, adj, sink, &scratch);
         },
         &local.pages_read, options.validate_pages));
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/iterator_model.h"
-#include "core/page_range_view.h"
+#include "core/successor_index.h"
 #include "storage/record_scanner.h"
 #include "util/aligned_buffer.h"
 #include "util/stopwatch.h"
@@ -72,6 +72,7 @@ Status RunShrinkLoop(GraphStore* input, Env* env, TriangleSink* sink,
   }
   const uint32_t page_size = input->page_size();
   EdgeIteratorModel model;
+  SuccessorIndex internal;  // the batch's n_succ, reused per batch
 
   // Working-graph double buffering.
   const std::string work_a =
@@ -103,8 +104,7 @@ Status RunShrinkLoop(GraphStore* input, Env* env, TriangleSink* sink,
       }
       page_data[i] = dst;
     }
-    PageRangeView view;
-    OPT_RETURN_IF_ERROR(view.Build(*current, plan.pid_lo, page_data));
+    OPT_RETURN_IF_ERROR(internal.Build(*current, plan, page_data));
 
     // (i) Triangles whose two lowest vertices are both in the batch —
     // parallelizable (GraphChi-Tri parallelizes exactly this portion).
@@ -116,8 +116,8 @@ Status RunShrinkLoop(GraphStore* input, Env* env, TriangleSink* sink,
     ParallelFor(0, workers, workers, [&](size_t) {
       ModelScratch scratch(current->num_vertices());
       for (uint64_t u; (u = next_vertex.fetch_add(1)) <= plan.v_hi;) {
-        model.InternalTriangles(view, plan, static_cast<VertexId>(u), sink,
-                                &scratch);
+        model.InternalTriangles(internal, plan, static_cast<VertexId>(u),
+                                sink, &scratch);
       }
     });
     local.parallel_seconds += parallel_watch.ElapsedSeconds();
@@ -138,7 +138,7 @@ Status RunShrinkLoop(GraphStore* input, Env* env, TriangleSink* sink,
             adj.succ_begin = static_cast<uint32_t>(
                 std::upper_bound(neighbors.begin(), neighbors.end(), x) -
                 neighbors.begin());
-            model.ExternalTriangles(view, plan, x, adj, sink, &scratch);
+            model.ExternalTriangles(internal, plan, x, adj, sink, &scratch);
           },
           &local.pages_read, options.validate_pages));
     }

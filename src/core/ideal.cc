@@ -7,7 +7,7 @@
 
 #include "util/aligned_buffer.h"
 
-#include "core/page_range_view.h"
+#include "core/successor_index.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -33,16 +33,16 @@ Status RunIdeal(GraphStore* store, const IteratorModel& model,
     OPT_RETURN_IF_ERROR(PageView(dst, page_size).Validate(pid));
     page_data[pid] = dst;
   }
-  PageRangeView view;
-  OPT_RETURN_IF_ERROR(view.Build(*store, 0, page_data));
-  const double load_seconds = load_watch.ElapsedSeconds();
-
-  Stopwatch cpu_watch;
   IterationPlan plan;
   plan.v_lo = 0;
   plan.v_hi = store->num_vertices() - 1;
   plan.pid_lo = 0;
   plan.pid_hi = pages - 1;
+  SuccessorIndex internal;
+  OPT_RETURN_IF_ERROR(internal.Build(*store, plan, page_data));
+  const double load_seconds = load_watch.ElapsedSeconds();
+
+  Stopwatch cpu_watch;
 
   // One scratch (a |V|-bit marker) per worker; workers claim pages
   // dynamically, like Algorithm 5's page-parallel loop.
@@ -56,7 +56,7 @@ Status RunIdeal(GraphStore* store, const IteratorModel& model,
       for (uint32_t s = 0; s < slots; ++s) {
         const Segment seg = page.GetSegment(s);
         if (!seg.IsFirstSegment()) continue;
-        model.InternalTriangles(view, plan, seg.vertex, sink, &scratch);
+        model.InternalTriangles(internal, plan, seg.vertex, sink, &scratch);
       }
     }
   });

@@ -93,20 +93,48 @@ class MarkedList {
   uint64_t triangles_ = 0;
 };
 
+/// How many partners ahead of its probe a partner's n_succ is
+/// prefetched: far enough that the load overlaps the probes in between,
+/// near enough that the line is still cached when its probe comes.
+constexpr size_t kPrefetchDistance = 2;
+
+/// Probes `marked` (the list of `x`) against n_succ(p) of every resident
+/// partner p in `partners`, prefetching kPrefetchDistance partners ahead.
+/// The pair is (x, p) when `x_is_low`, else (p, x).
+void ProbePartners(const SuccessorIndex& internal,
+                   std::span<const VertexId> partners, VertexId x,
+                   bool x_is_low, MarkedList* marked) {
+  const size_t count = partners.size();
+  for (size_t k = 0; k < count && k < kPrefetchDistance; ++k) {
+    internal.Prefetch(partners[k]);
+  }
+  for (size_t k = 0; k < count; ++k) {
+    if (k + kPrefetchDistance < count) {
+      internal.Prefetch(partners[k + kPrefetchDistance]);
+    }
+    const VertexId p = partners[k];
+    if (x_is_low) {
+      marked->Probe(x, p, internal.Succ(p));
+    } else {
+      marked->Probe(p, x, internal.Succ(p));
+    }
+  }
+}
+
 /// Algorithms 6 and 11 (they find the same sets): for every resident
 /// v ∈ n_succ(u), W_uv = n_succ(u) ∩ n_succ(v). Algorithm 11 phrases it
 /// as w ∈ n_succ(u), w > v, (v, w) ∈ E_in, which is the same set because
 /// n_succ(v) lies above v. n_succ(u) is marked once for all its v.
-void InternalPairs(const PageRangeView& internal, const IterationPlan& plan,
+void InternalPairs(const SuccessorIndex& internal, const IterationPlan& plan,
                    VertexId u, TriangleSink* sink, ModelScratch* scratch) {
-  const auto succ_u = internal.Get(u).succ();
-  // Sorted: when the first successor is external, so are all of them.
-  if (succ_u.empty() || succ_u.front() > plan.v_hi) return;
+  const auto succ_u = internal.Succ(u);
+  // Sorted: the resident successors are a prefix, the rest external.
+  const auto resident = std::span<const VertexId>(
+      succ_u.begin(),
+      std::upper_bound(succ_u.begin(), succ_u.end(), plan.v_hi));
+  if (resident.empty()) return;
   MarkedList marked(succ_u, sink, scratch);
-  for (VertexId v : succ_u) {
-    if (v > plan.v_hi) break;  // the rest are external pairs
-    marked.Probe(u, v, internal.Get(v).succ());
-  }
+  ProbePartners(internal, resident, u, /*x_is_low=*/true, &marked);
 }
 
 }  // namespace
@@ -115,7 +143,7 @@ void InternalPairs(const PageRangeView& internal, const IterationPlan& plan,
 // EdgeIterator instance (Algorithms 6, 8, 10).
 // ---------------------------------------------------------------------------
 
-void EdgeIteratorModel::InternalTriangles(const PageRangeView& internal,
+void EdgeIteratorModel::InternalTriangles(const SuccessorIndex& internal,
                                           const IterationPlan& plan,
                                           VertexId u, TriangleSink* sink,
                                           ModelScratch* scratch) const {
@@ -133,7 +161,7 @@ void EdgeIteratorModel::CollectCandidates(const IterationPlan& plan,
   out->insert(out->end(), it, nbrs.end());
 }
 
-void EdgeIteratorModel::ExternalTriangles(const PageRangeView& internal,
+void EdgeIteratorModel::ExternalTriangles(const SuccessorIndex& internal,
                                           const IterationPlan& plan,
                                           VertexId external_vertex,
                                           const AdjacencyRef& external_adj,
@@ -148,17 +176,15 @@ void EdgeIteratorModel::ExternalTriangles(const PageRangeView& internal,
   // Algorithm 10: W_uv = n_succ(u) ∩ n_succ(v) for every requester u,
   // with the loaded n_succ(v) marked once for all of them.
   MarkedList marked(external_adj.succ(), sink, scratch);
-  for (auto it = lo; it != hi; ++it) {
-    const VertexId u = *it;
-    marked.Probe(u, external_vertex, internal.Get(u).succ());
-  }
+  ProbePartners(internal, {lo, hi}, external_vertex, /*x_is_low=*/false,
+                &marked);
 }
 
 // ---------------------------------------------------------------------------
 // VertexIterator instance (Algorithms 11, 12, 13).
 // ---------------------------------------------------------------------------
 
-void VertexIteratorModel::InternalTriangles(const PageRangeView& internal,
+void VertexIteratorModel::InternalTriangles(const SuccessorIndex& internal,
                                             const IterationPlan& plan,
                                             VertexId u, TriangleSink* sink,
                                             ModelScratch* scratch) const {
@@ -175,7 +201,7 @@ void VertexIteratorModel::CollectCandidates(const IterationPlan& plan,
   out->insert(out->end(), nbrs.begin(), it);
 }
 
-void VertexIteratorModel::ExternalTriangles(const PageRangeView& internal,
+void VertexIteratorModel::ExternalTriangles(const SuccessorIndex& internal,
                                             const IterationPlan& plan,
                                             VertexId external_vertex,
                                             const AdjacencyRef& external_adj,
@@ -191,10 +217,7 @@ void VertexIteratorModel::ExternalTriangles(const PageRangeView& internal,
   // Algorithm 13: w ∈ n_succ(u) with id(w) > id(v) and (v, w) ∈ E_in,
   // i.e. n_succ(u) ∩ n_succ(v); the loaded n_succ(u) is marked once.
   MarkedList marked(succ_u, sink, scratch);
-  for (auto it = lo; it != hi; ++it) {
-    const VertexId v = *it;
-    marked.Probe(u, v, internal.Get(v).succ());
-  }
+  ProbePartners(internal, {lo, hi}, u, /*x_is_low=*/true, &marked);
 }
 
 }  // namespace opt

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/page_range_view.h"
+#include "core/successor_index.h"
 #include "core/triangle_sink.h"
 #include "graph/intersect.h"
 #include "storage/graph_store.h"
@@ -40,9 +41,9 @@ class IteratorModel {
   virtual const char* name() const = 0;
 
   /// InternalTriangleImpl (Algorithm 6 / 11): emits the internal
-  /// triangles contributed by the record of `u`. `internal` covers the
-  /// vertex range [plan.v_lo, plan.v_hi].
-  virtual void InternalTriangles(const PageRangeView& internal,
+  /// triangles contributed by the record of `u`. `internal` holds n_succ
+  /// of every vertex in [plan.v_lo, plan.v_hi].
+  virtual void InternalTriangles(const SuccessorIndex& internal,
                                  const IterationPlan& plan, VertexId u,
                                  TriangleSink* sink,
                                  ModelScratch* scratch) const = 0;
@@ -59,7 +60,7 @@ class IteratorModel {
   /// ExternalTriangleImpl (Algorithm 10 / 13) for one loaded external
   /// record: derives the internal requesters V_req from the record's own
   /// adjacency list and emits all external triangles involving it.
-  virtual void ExternalTriangles(const PageRangeView& internal,
+  virtual void ExternalTriangles(const SuccessorIndex& internal,
                                  const IterationPlan& plan,
                                  VertexId external_vertex,
                                  const AdjacencyRef& external_adj,
@@ -72,7 +73,7 @@ class EdgeIteratorModel : public IteratorModel {
  public:
   const char* name() const override { return "edge-iterator"; }
 
-  void InternalTriangles(const PageRangeView& internal,
+  void InternalTriangles(const SuccessorIndex& internal,
                          const IterationPlan& plan, VertexId u,
                          TriangleSink* sink,
                          ModelScratch* scratch) const override;
@@ -80,7 +81,7 @@ class EdgeIteratorModel : public IteratorModel {
   void CollectCandidates(const IterationPlan& plan, const Segment& segment,
                          std::vector<VertexId>* out) const override;
 
-  void ExternalTriangles(const PageRangeView& internal,
+  void ExternalTriangles(const SuccessorIndex& internal,
                          const IterationPlan& plan, VertexId external_vertex,
                          const AdjacencyRef& external_adj, TriangleSink* sink,
                          ModelScratch* scratch) const override;
@@ -91,7 +92,7 @@ class VertexIteratorModel : public IteratorModel {
  public:
   const char* name() const override { return "vertex-iterator"; }
 
-  void InternalTriangles(const PageRangeView& internal,
+  void InternalTriangles(const SuccessorIndex& internal,
                          const IterationPlan& plan, VertexId u,
                          TriangleSink* sink,
                          ModelScratch* scratch) const override;
@@ -99,7 +100,7 @@ class VertexIteratorModel : public IteratorModel {
   void CollectCandidates(const IterationPlan& plan, const Segment& segment,
                          std::vector<VertexId>* out) const override;
 
-  void ExternalTriangles(const PageRangeView& internal,
+  void ExternalTriangles(const SuccessorIndex& internal,
                          const IterationPlan& plan, VertexId external_vertex,
                          const AdjacencyRef& external_adj, TriangleSink* sink,
                          ModelScratch* scratch) const override;

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "core/page_range_view.h"
+#include "core/successor_index.h"
 #include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 #include "util/metrics.h"
@@ -157,7 +158,9 @@ struct RunContext {
   IterationPlan plan;
   std::vector<Frame*> internal_frames;
   std::vector<const char*> internal_page_data;
-  PageRangeView internal_view;
+  // n_succ of [plan.v_lo, plan.v_hi], rebuilt in phase B of every
+  // iteration on the buffers of the previous one.
+  SuccessorIndex internal;
 
   // One model scratch per phase-C thread slot (0 = main thread,
   // 1 = callback thread, t = flex worker t), built once per run. Each
@@ -333,7 +336,7 @@ void ProcessInternalPage(RunContext* ctx, uint32_t page_index,
       if (seg.vertex < ctx->plan.v_lo || seg.vertex > ctx->plan.v_hi) {
         continue;
       }
-      ctx->model->InternalTriangles(ctx->internal_view, ctx->plan,
+      ctx->model->InternalTriangles(ctx->internal, ctx->plan,
                                     seg.vertex, ctx->sink, scratch);
     }
   }
@@ -422,7 +425,7 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
     data.reserve(frames.size());
     for (Frame* f : frames) data.push_back(f->data);
     PageRangeView view;
-    Status s = view.Build(*ctx->store, chunk.first_pid, data);
+    Status s = view.Build(*ctx->store, data);
     if (!s.ok()) {
       ctx->RecordError(s);
     } else {
@@ -437,7 +440,7 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
               " not fully covered by its chunk"));
           break;
         }
-        ctx->model->ExternalTriangles(ctx->internal_view, ctx->plan, v,
+        ctx->model->ExternalTriangles(ctx->internal, ctx->plan, v,
                                       view.Get(v), ctx->sink, scratch);
       }
     }
@@ -863,10 +866,10 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     for (uint32_t i = 0; i < pages; ++i) {
       ctx.internal_page_data[i] = ctx.internal_frames[i]->data;
     }
-    Status view_status = ctx.internal_view.Build(
-        *store_, ctx.plan.pid_lo, ctx.internal_page_data);
-    if (!view_status.ok()) {
-      ctx.RecordError(view_status);
+    Status index_status =
+        ctx.internal.Build(*store_, ctx.plan, ctx.internal_page_data);
+    if (!index_status.ok()) {
+      ctx.RecordError(index_status);
       pool->Unpin(ctx.internal_frames);
       break;
     }

@@ -5,12 +5,10 @@
 
 namespace opt {
 
-Status PageRangeView::Build(const GraphStore& store, uint32_t first_pid,
+Status PageRangeView::Build(const GraphStore& store,
                             std::span<const char* const> page_data) {
   entries_.clear();
   scratch_.clear();
-  first_full_ = kInvalidVertex;
-  last_full_ = kInvalidVertex;
   if (page_data.empty()) return Status::OK();
 
   const uint32_t page_size = store.page_size();
@@ -44,8 +42,6 @@ Status PageRangeView::Build(const GraphStore& store, uint32_t first_pid,
     e.full = true;
     e.succ_begin = static_cast<uint32_t>(
         std::upper_bound(ptr, ptr + len, v) - ptr);
-    if (first_full_ == kInvalidVertex || v < first_full_) first_full_ = v;
-    if (last_full_ == kInvalidVertex || v > last_full_) last_full_ = v;
   };
 
   for (size_t i = 0; i < page_data.size(); ++i) {
@@ -95,7 +91,6 @@ Status PageRangeView::Build(const GraphStore& store, uint32_t first_pid,
       }
     }
   }
-  (void)first_pid;
   return Status::OK();
 }
 

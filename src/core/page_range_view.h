@@ -1,9 +1,10 @@
-// Assembles the adjacency lists stored on a run of loaded pages into
-// O(1)-addressable per-vertex views. Used for both the internal area
-// (whole iteration extent) and external chunks (one page, or a spanning
-// vertex's page run). Because records are laid out in ascending vertex-id
-// order, a page run covers a contiguous vertex range; only *fully*
-// covered records (all segments present) are addressable.
+// Assembles the adjacency lists stored on one loaded external chunk (a
+// page, or the page run of a spanning record) into O(1)-addressable
+// per-vertex views of the full n(v), so the iterator models can derive
+// the internal requesters V_req from n_prec(v). Because records are laid
+// out in ascending vertex-id order, a page run covers a contiguous vertex
+// range; only *fully* covered records (all segments present) are
+// addressable. The internal area is read through SuccessorIndex instead.
 #ifndef OPT_CORE_PAGE_RANGE_VIEW_H_
 #define OPT_CORE_PAGE_RANGE_VIEW_H_
 
@@ -34,9 +35,9 @@ class PageRangeView {
  public:
   PageRangeView() = default;
 
-  /// Parses pages [first_pid, first_pid + frames.size()) from `frames`
-  /// (already read and, if desired, CRC-validated by the caller).
-  Status Build(const GraphStore& store, uint32_t first_pid,
+  /// Parses the consecutive page images `page_data` (already read and,
+  /// if desired, CRC-validated by the caller).
+  Status Build(const GraphStore& store,
                std::span<const char* const> page_data);
 
   /// True if v's record is entirely within this view.
@@ -51,10 +52,6 @@ class PageRangeView {
     return {std::span<const VertexId>(e.ptr, e.len), e.succ_begin};
   }
 
-  /// First / last fully covered vertices (kInvalidVertex if none).
-  VertexId first_full() const { return first_full_; }
-  VertexId last_full() const { return last_full_; }
-
  private:
   struct Entry {
     const VertexId* ptr = nullptr;
@@ -64,8 +61,6 @@ class PageRangeView {
   };
 
   VertexId base_vertex_ = 0;
-  VertexId first_full_ = kInvalidVertex;
-  VertexId last_full_ = kInvalidVertex;
   std::vector<Entry> entries_;
   // Backing storage for adjacency lists that span pages.
   std::vector<std::vector<VertexId>> scratch_;

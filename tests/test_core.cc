@@ -131,7 +131,7 @@ TEST(PageRangeViewTest, FullGraphView) {
     data.push_back(pages[pid].data());
   }
   PageRangeView view;
-  ASSERT_TRUE(view.Build(*store, 0, data).ok());
+  ASSERT_TRUE(view.Build(*store, data).ok());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_TRUE(view.HasFull(v));
     AdjacencyRef ref = view.Get(v);
@@ -158,7 +158,7 @@ TEST(PageRangeViewTest, PartialViewExcludesBoundaryRecords) {
   }
   for (auto& p : pages) data.push_back(p.data());
   PageRangeView view;
-  ASSERT_TRUE(view.Build(*store, lo, data).ok());
+  ASSERT_TRUE(view.Build(*store, data).ok());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const bool fully_inside = store->FirstPageOfVertex(v) >= lo &&
                               store->LastPageOfVertex(v) <= hi;

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -33,6 +34,14 @@ inline const std::string& ProcessTempDir() {
     return d;
   }();
   return dir;
+}
+
+/// The unsigned integer in environment variable `name`, or `fallback`
+/// when it is unset or empty (the fuzz suites' case count and seed).
+inline uint64_t EnvU64(const char* name, uint64_t fallback) {
+  const char* s = std::getenv(name);
+  if (s == nullptr || *s == '\0') return fallback;
+  return std::strtoull(s, nullptr, 10);
 }
 
 /// Creates a GraphStore for `g` under a unique temp base path and

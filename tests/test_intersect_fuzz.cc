@@ -17,10 +17,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "test_helpers.h"
 #include "util/random.h"
 
 namespace opt {
@@ -189,12 +189,6 @@ TEST(IntersectFuzzTest, HeavilySkewedSizeRatios) {
 // oracle.
 // ---------------------------------------------------------------------------
 
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  return std::strtoull(s, nullptr, 10);
-}
-
 std::vector<VertexId> Dedup(std::vector<VertexId> v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
   return v;
@@ -272,8 +266,9 @@ TEST(BitmapFuzzTest, RandomizedBitmapEqualsSetIntersection) {
   // side in turn and runs both probes, so the probe-level case count is
   // a multiple of this). Each trial reseeds from its own derived seed,
   // so the printed repro line replays just the failing trial.
-  const uint64_t cases = EnvU64("OPT_FUZZ_CASES", 50000);
-  const uint64_t base_seed = EnvU64("OPT_FUZZ_SEED", 0xB17A15EEDull);
+  const uint64_t cases = testutil::EnvU64("OPT_FUZZ_CASES", 50000);
+  const uint64_t base_seed =
+      testutil::EnvU64("OPT_FUZZ_SEED", 0xB17A15EEDull);
   for (uint64_t trial = 0; trial < cases; ++trial) {
     const uint64_t seed = base_seed + trial;
     Random64 rng(seed);

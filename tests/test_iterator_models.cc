@@ -3,7 +3,9 @@
 // replaying the paper's worked example of §3.2/Figure 2: the internal
 // area holds n(a)..n(d); {e,f,g,h} become external candidates; the
 // internal triangles are {abc, cdf} and the external ones {def, cfg,
-// cgh}. The marker-reuse tests run one ModelScratch through a sequence
+// cgh}. Resident lists come from a SuccessorIndex over the plan's range
+// and loaded external records from a chunk view, as in OptRunner. The
+// marker-reuse tests run one ModelScratch through a sequence
 // of overlapping records and check every call, on the Emit path and on
 // the count path, against std::set_intersection and against the
 // intersect work it must record, and check the marker is all zero after
@@ -16,6 +18,7 @@
 
 #include "core/iterator_model.h"
 #include "core/page_range_view.h"
+#include "core/successor_index.h"
 #include "core/triangle_sink.h"
 #include "graph/builder.h"
 #include "graph/intersect.h"
@@ -45,9 +48,9 @@ CSRGraph PaperGraph() {
   return std::move(b).Build();
 }
 
-/// Builds a PageRangeView over the full graph so both "internal" and
-/// "external" adjacency can be pulled from it; the iteration plan
-/// restricts residency to [v_lo, v_hi].
+/// Builds the internal area's SuccessorIndex for the paper's iteration
+/// (n(a)..n(d) resident) and a chunk view over the whole graph, from
+/// which external records are taken.
 class ModelFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -60,12 +63,13 @@ class ModelFixture : public ::testing::Test {
       ASSERT_TRUE(store_->file()->ReadPage(pid, pages_[pid].data()).ok());
       data_.push_back(pages_[pid].data());
     }
-    ASSERT_TRUE(view_.Build(*store_, 0, data_).ok());
+    ASSERT_TRUE(chunk_.Build(*store_, data_).ok());
     // The paper's iteration: n(a)..n(d) resident.
     plan_.v_lo = A;
     plan_.v_hi = D;
     plan_.pid_lo = 0;
     plan_.pid_hi = store_->num_pages() - 1;
+    ASSERT_TRUE(internal_.Build(*store_, plan_, data_).ok());
   }
 
   Segment SegmentOf(VertexId v) {
@@ -82,8 +86,9 @@ class ModelFixture : public ::testing::Test {
   std::unique_ptr<GraphStore> store_;
   std::vector<std::vector<char>> pages_;
   std::vector<const char*> data_;
-  PageRangeView view_;
+  PageRangeView chunk_;
   IterationPlan plan_;
+  SuccessorIndex internal_;
 };
 
 TEST_F(ModelFixture, EdgeIteratorInternalTrianglesMatchPaper) {
@@ -91,7 +96,7 @@ TEST_F(ModelFixture, EdgeIteratorInternalTrianglesMatchPaper) {
   VectorSink sink;
   ModelScratch scratch;
   for (VertexId u = plan_.v_lo; u <= plan_.v_hi; ++u) {
-    model.InternalTriangles(view_, plan_, u, &sink, &scratch);
+    model.InternalTriangles(internal_, plan_, u, &sink, &scratch);
   }
   auto triangles = sink.Sorted();
   ASSERT_EQ(triangles.size(), 2u);
@@ -117,8 +122,8 @@ TEST_F(ModelFixture, EdgeIteratorExternalTrianglesMatchPaper) {
   VectorSink sink;
   ModelScratch scratch;
   for (VertexId v : {E, F, G, H}) {
-    AdjacencyRef adj = view_.Get(v);
-    model.ExternalTriangles(view_, plan_, v, adj, &sink, &scratch);
+    AdjacencyRef adj = chunk_.Get(v);
+    model.ExternalTriangles(internal_, plan_, v, adj, &sink, &scratch);
   }
   auto triangles = sink.Sorted();
   ASSERT_EQ(triangles.size(), 3u);
@@ -135,7 +140,7 @@ TEST_F(ModelFixture, VertexIteratorSplitsTheSameFiveTriangles) {
   VectorSink internal, external;
   ModelScratch scratch;
   for (VertexId u = plan_.v_lo; u <= plan_.v_hi; ++u) {
-    model.InternalTriangles(view_, plan_, u, &internal, &scratch);
+    model.InternalTriangles(internal_, plan_, u, &internal, &scratch);
   }
   std::vector<VertexId> candidates;
   for (VertexId u = plan_.v_lo; u <= plan_.v_hi; ++u) {
@@ -145,7 +150,7 @@ TEST_F(ModelFixture, VertexIteratorSplitsTheSameFiveTriangles) {
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
   for (VertexId v : candidates) {
-    model.ExternalTriangles(view_, plan_, v, view_.Get(v), &external,
+    model.ExternalTriangles(internal_, plan_, v, chunk_.Get(v), &external,
                             &scratch);
   }
   std::vector<Triangle> all = internal.Sorted();
@@ -172,6 +177,8 @@ TEST_F(ModelFixture, FullResidencyFindsEverythingInternally) {
   full.v_hi = graph_.num_vertices() - 1;
   full.pid_lo = 0;
   full.pid_hi = store_->num_pages() - 1;
+  SuccessorIndex resident;
+  ASSERT_TRUE(resident.Build(*store_, full, data_).ok());
 
   EdgeIteratorModel ei;
   VertexIteratorModel vi;
@@ -182,7 +189,7 @@ TEST_F(ModelFixture, FullResidencyFindsEverythingInternally) {
     ModelScratch scratch;
     std::vector<VertexId> candidates;
     for (VertexId u = 0; u < graph_.num_vertices(); ++u) {
-      model->InternalTriangles(view_, full, u, &sink, &scratch);
+      model->InternalTriangles(resident, full, u, &sink, &scratch);
       model->CollectCandidates(full, SegmentOf(u), &candidates);
     }
     EXPECT_EQ(sink.Sorted(), testutil::OracleTriangles(graph_))
@@ -356,13 +363,15 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
     ASSERT_TRUE(store->file()->ReadPage(pid, pages[pid].data()).ok());
     data.push_back(pages[pid].data());
   }
-  PageRangeView view;
-  ASSERT_TRUE(view.Build(*store, 0, data).ok());
+  PageRangeView chunk;
+  ASSERT_TRUE(chunk.Build(*store, data).ok());
   IterationPlan plan;
   plan.v_lo = edge_model ? 0 : 500;
   plan.v_hi = edge_model ? 499 : 999;
   plan.pid_lo = 0;
   plan.pid_hi = store->num_pages() - 1;
+  SuccessorIndex internal;
+  ASSERT_TRUE(internal.Build(*store, plan, data).ok());
   const auto in_plan = [&plan](VertexId x) {
     return x >= plan.v_lo && x <= plan.v_hi;
   };
@@ -383,7 +392,7 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
       if (in_plan(v)) pair(u, v, u, &want, &work);
     }
     CheckBothPaths(want, work, scratch, [&](TriangleSink* sink) {
-      model.InternalTriangles(view, plan, u, sink, &scratch);
+      model.InternalTriangles(internal, plan, u, sink, &scratch);
     });
   }
 
@@ -431,7 +440,8 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
       hub_pairs = want.size();
     }
     CheckBothPaths(want, work, scratch, [&](TriangleSink* sink) {
-      model.ExternalTriangles(view, plan, x, view.Get(x), sink, &scratch);
+      model.ExternalTriangles(internal, plan, x, chunk.Get(x), sink,
+                              &scratch);
     });
   }
   EXPECT_GT(hub_pairs, 0u);
