@@ -65,10 +65,9 @@ Status RunChuCheng(GraphStore* store, Env* env, TriangleSink* sink,
     adjacency.reserve(store->num_directed_edges());
     OPT_RETURN_IF_ERROR(ScanRecords(
         *store, 0, store->num_pages() - 1,
-        [&](VertexId v, std::span<const VertexId> neighbors) {
-          offsets[v + 1] = neighbors.size();
-          adjacency.insert(adjacency.end(), neighbors.begin(),
-                           neighbors.end());
+        [&](VertexId v, const AdjacencyRef& adj) {
+          offsets[v + 1] = adj.all.size();
+          adjacency.insert(adjacency.end(), adj.all.begin(), adj.all.end());
         },
         &loop_stats.pages_read, options.validate_pages));
     for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];

@@ -59,12 +59,7 @@ Status RunMgt(GraphStore* store, TriangleSink* sink,
     ModelScratch scratch(store->num_vertices());
     OPT_RETURN_IF_ERROR(ScanRecords(
         *store, 0, store->num_pages() - 1,
-        [&](VertexId u, std::span<const VertexId> neighbors) {
-          AdjacencyRef adj;
-          adj.all = neighbors;
-          adj.succ_begin = static_cast<uint32_t>(
-              std::upper_bound(neighbors.begin(), neighbors.end(), u) -
-              neighbors.begin());
+        [&](VertexId u, const AdjacencyRef& adj) {
           model.ExternalTriangles(internal, plan, u, adj, sink, &scratch);
         },
         &local.pages_read, options.validate_pages));

@@ -29,8 +29,9 @@ Status RewriteRemainder(const GraphStore& store, Env* env,
   uint64_t kept = 0;
   OPT_RETURN_IF_ERROR(ScanRecords(
       store, 0, store.num_pages() - 1,
-      [&](VertexId v, std::span<const VertexId> neighbors) {
+      [&](VertexId v, const AdjacencyRef& adj) {
         if (v <= v_hi) return;
+        const auto neighbors = adj.all;
         auto it = std::upper_bound(neighbors.begin(), neighbors.end(), v_hi);
         const auto count = static_cast<uint64_t>(neighbors.end() - it);
         offsets[v + 1] = count;
@@ -131,13 +132,8 @@ Status RunShrinkLoop(GraphStore* input, Env* env, TriangleSink* sink,
       ModelScratch scratch(current->num_vertices());
       OPT_RETURN_IF_ERROR(ScanRecords(
           *current, plan.pid_hi, current->num_pages() - 1,
-          [&](VertexId x, std::span<const VertexId> neighbors) {
+          [&](VertexId x, const AdjacencyRef& adj) {
             if (x <= plan.v_hi) return;
-            AdjacencyRef adj;
-            adj.all = neighbors;
-            adj.succ_begin = static_cast<uint32_t>(
-                std::upper_bound(neighbors.begin(), neighbors.end(), x) -
-                neighbors.begin());
             model.ExternalTriangles(internal, plan, x, adj, sink, &scratch);
           },
           &local.pages_read, options.validate_pages));

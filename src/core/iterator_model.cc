@@ -1,7 +1,7 @@
 #include "core/iterator_model.h"
 
 #include <algorithm>
-#include <limits>
+#include <cassert>
 #include <span>
 
 #include "graph/intersect.h"
@@ -31,20 +31,10 @@ class MarkedList {
         scratch_(scratch),
         counts_only_(sink->counts_only()) {
     if (list_.empty()) return;
-    DenseBitmap& marker = scratch_->marker;
-    if (list_.back() >= marker.universe()) {
-      // A scratch built without |V|, or a damaged record whose ids pass
-      // |V| (loaded records are not range-checked), grows the marker
-      // instead of writing past it. Growing reallocates; the marker is
-      // all zero here, so nothing is lost, and doubling bounds the
-      // number of growths by log |V|.
-      const uint64_t wanted = std::max<uint64_t>(
-          uint64_t{list_.back()} + 1, uint64_t{marker.universe()} * 2);
-      marker.Reset(static_cast<VertexId>(std::min<uint64_t>(
-          wanted, std::numeric_limits<VertexId>::max())));
-    }
-    // Adjacency lists are strictly increasing, so no id repeats.
-    marker.SetDistinct(list_);
+    // Decoded lists are strictly increasing and below |V|, the marker's
+    // universe, so no id repeats or falls outside it.
+    assert(list_.back() < scratch_->marker.universe());
+    scratch_->marker.SetDistinct(list_);
   }
   ~MarkedList() {
     if (list_.empty()) return;

@@ -8,12 +8,12 @@
 
 #include <vector>
 
-#include "core/page_range_view.h"
 #include "core/successor_index.h"
 #include "core/triangle_sink.h"
 #include "graph/intersect.h"
 #include "storage/graph_store.h"
 #include "storage/page.h"
+#include "storage/record_scanner.h"
 
 namespace opt {
 
@@ -21,13 +21,12 @@ namespace opt {
 /// Both models intersect by mark-and-probe: the bits of one successor
 /// list are set in `marker`, every list it meets is probed against them,
 /// and the set words are zeroed again, so `marker` is all zero between
-/// calls. A marker too small for the ids it meets grows (a reallocation),
-/// so callers that know |V| size it up front. Each scratch starts on its
-/// own cache line: per-thread scratches sit side by side in one vector,
-/// and their owners write them on every probe.
+/// calls. The marker spans [0, |V|): every list the models meet went
+/// through RecordDecoder's checks, so no id reaches past it. Each scratch
+/// starts on its own cache line: per-thread scratches sit side by side in
+/// one vector, and their owners write them on every probe.
 struct alignas(64) ModelScratch {
-  ModelScratch() = default;
-  explicit ModelScratch(VertexId universe) : marker(universe) {}
+  explicit ModelScratch(VertexId num_vertices) : marker(num_vertices) {}
 
   // W_uv for sinks that Emit; as long as the longest probe so far.
   std::vector<VertexId> intersection;

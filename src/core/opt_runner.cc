@@ -9,10 +9,10 @@
 #include <span>
 #include <thread>
 
-#include "core/page_range_view.h"
 #include "core/successor_index.h"
 #include "storage/async_io.h"
 #include "storage/buffer_pool.h"
+#include "storage/record_scanner.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
 #include "util/trace.h"
@@ -421,29 +421,33 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
   ThreadCpuStopwatch cpu;
   OverlapProfiler::SetWork(/*internal_work=*/false);
   if (frames_ready.ok() && !ctx->CheckCancel()) {
-    std::vector<const char*> data;
-    data.reserve(frames.size());
-    for (Frame* f : frames) data.push_back(f->data);
-    PageRangeView view;
-    Status s = view.Build(*ctx->store, data);
-    if (!s.ok()) {
-      ctx->RecordError(s);
-    } else {
-      ModelScratch* scratch = t_drain_scratch;
-      for (VertexId v : chunk.candidates) {
-        // Refresh the slot each candidate so a long chunk never trips
-        // the sampler's stall guard mid-CPU-burst.
-        OverlapProfiler::SetWork(/*internal_work=*/false);
-        if (!view.HasFull(v)) {
-          ctx->RecordError(Status::Corruption(
-              "external candidate " + std::to_string(v) +
-              " not fully covered by its chunk"));
-          break;
-        }
-        ctx->model->ExternalTriangles(ctx->internal, ctx->plan, v,
-                                      view.Get(v), ctx->sink, scratch);
-      }
+    // The decoder hands out only the candidates' records, in ascending
+    // vertex order like the candidates, so a candidate it skips over has
+    // no complete record in the chunk.
+    const std::vector<VertexId>& candidates = chunk.candidates;
+    const auto missing = [](VertexId v) {
+      return Status::Corruption("external candidate " + std::to_string(v) +
+                                " not fully covered by its chunk");
+    };
+    ModelScratch* scratch = t_drain_scratch;
+    RecordDecoder decoder(*ctx->store, candidates);
+    size_t next = 0;  // the first candidate not yet met
+    const auto on_record = [&](VertexId v, const AdjacencyRef& adj) {
+      if (candidates[next] != v) return missing(candidates[next]);
+      // Refresh the slot each candidate so a long chunk never trips the
+      // sampler's stall guard mid-CPU-burst.
+      OverlapProfiler::SetWork(/*internal_work=*/false);
+      ctx->model->ExternalTriangles(ctx->internal, ctx->plan, v, adj,
+                                    ctx->sink, scratch);
+      ++next;
+      return Status::OK();
+    };
+    Status s;
+    for (uint32_t i = 0; i < frames.size() && s.ok(); ++i) {
+      s = decoder.Feed(frames[i]->data, chunk.first_pid + i, on_record);
     }
+    if (s.ok() && next < candidates.size()) s = missing(candidates[next]);
+    if (!s.ok()) ctx->RecordError(s);
   }
   ctx->pool->Unpin(frames);
   ctx->external_cpu_nanos.fetch_add(cpu.ElapsedNanos(),

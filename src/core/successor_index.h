@@ -6,9 +6,10 @@
 // through a per-vertex entry into a page frame that also holds n_prec
 // and segment headers.
 //
-// Build validates what it copies, so a damaged page whose CRC was
-// recomputed over the damage fails the run with Corruption instead of
-// reading as a short list or indexing outside the index.
+// Build reads the pages through RecordDecoder, which validates every
+// record, so a damaged page whose CRC was recomputed over the damage
+// fails the run with Corruption instead of reading as a short list or
+// indexing outside the index.
 #ifndef OPT_CORE_SUCCESSOR_INDEX_H_
 #define OPT_CORE_SUCCESSOR_INDEX_H_
 
@@ -30,9 +31,9 @@ class SuccessorIndex {
   /// the buffers of the previous Build, so a run that builds one index
   /// per iteration allocates only when an area outgrows every earlier
   /// one. Returns Corruption, naming the page and vertex, when a record
-  /// of the range is missing or incomplete, when an n_succ is not
-  /// strictly increasing above its vertex, when an id is ≥ |V|, or when
-  /// the area holds 2^32 or more successor ids (offsets are 32-bit).
+  /// on the pages fails RecordDecoder's checks, when a vertex of the
+  /// range has no complete record, or when the area holds 2^32 or more
+  /// successor ids (offsets are 32-bit).
   Status Build(const GraphStore& store, const IterationPlan& plan,
                std::span<const char* const> pages);
 

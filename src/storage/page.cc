@@ -78,6 +78,26 @@ Status PageView::Validate(uint32_t expected_page_id) const {
     return Status::Corruption("page " + std::to_string(page_id()) +
                               " CRC mismatch");
   }
+  // Every segment must lie between the header and the slot directory, so
+  // GetSegment never reads outside the page.
+  const uint64_t slots = num_slots();
+  if (kPageHeaderSize + slots * kSlotSize > page_size_) {
+    return Status::Corruption("page " + std::to_string(page_id()) + " has " +
+                              std::to_string(slots) + " slots");
+  }
+  const uint64_t directory = page_size_ - slots * kSlotSize;
+  for (uint32_t i = 0; i < slots; ++i) {
+    const uint64_t rec =
+        DecodeFixed32(data_ + page_size_ - (i + 1) * kSlotSize);
+    if (rec < kPageHeaderSize || rec % alignof(VertexId) != 0 ||
+        rec + kSegmentHeaderSize > directory ||
+        DecodeFixed32(data_ + rec + 12) >
+            (directory - rec - kSegmentHeaderSize) / sizeof(VertexId)) {
+      return Status::Corruption("page " + std::to_string(page_id()) +
+                                ": segment " + std::to_string(i) +
+                                " lies outside the page");
+    }
+  }
   return Status::OK();
 }
 

@@ -75,13 +75,15 @@ class PageBuilder {
   bool continues_ = false;
 };
 
-/// Read-only view over a page image. Validates magic/CRC on demand.
+/// Read-only view over a page image. Validates magic, CRC and layout on
+/// demand.
 class PageView {
  public:
   PageView(const char* data, uint32_t page_size)
       : data_(data), page_size_(page_size) {}
 
-  /// Checks magic, page id, and CRC. Call once after a page is read.
+  /// Checks magic, page id and CRC, and that every segment lies between
+  /// the header and the slot directory. Call once after a page is read.
   Status Validate(uint32_t expected_page_id) const;
 
   uint32_t page_id() const;

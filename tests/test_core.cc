@@ -1,4 +1,4 @@
-// Tests for the OPT core: sinks, page-range views, iterator models, the
+// Tests for the OPT core: sinks, iterator models, the
 // ideal method, and the OPT runner in all its configurations, verified
 // against the in-memory edge-iterator oracle.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "core/ideal.h"
 #include "core/iterator_model.h"
 #include "core/opt_runner.h"
-#include "core/page_range_view.h"
 #include "core/triangle_sink.h"
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
@@ -118,58 +117,6 @@ TEST(TeeSinkTest, FansOut) {
   tee.Emit(1, 2, ws);
   EXPECT_EQ(a.count(), 1u);
   EXPECT_EQ(b.size(), 1u);
-}
-
-TEST(PageRangeViewTest, FullGraphView) {
-  CSRGraph g = PaperGraph();
-  auto store = testutil::MakeStore(g, Env::Default(), "view_full");
-  std::vector<std::vector<char>> pages(store->num_pages());
-  std::vector<const char*> data;
-  for (uint32_t pid = 0; pid < store->num_pages(); ++pid) {
-    pages[pid].resize(store->page_size());
-    ASSERT_TRUE(store->file()->ReadPage(pid, pages[pid].data()).ok());
-    data.push_back(pages[pid].data());
-  }
-  PageRangeView view;
-  ASSERT_TRUE(view.Build(*store, data).ok());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_TRUE(view.HasFull(v));
-    AdjacencyRef ref = view.Get(v);
-    auto expected = g.Neighbors(v);
-    EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
-                           ref.all.begin(), ref.all.end()));
-    auto expected_succ = g.Successors(v);
-    EXPECT_TRUE(std::equal(expected_succ.begin(), expected_succ.end(),
-                           ref.succ().begin(), ref.succ().end()));
-  }
-}
-
-TEST(PageRangeViewTest, PartialViewExcludesBoundaryRecords) {
-  CSRGraph g = GenerateErdosRenyi(120, 900, 5);
-  auto store = testutil::MakeStore(g, Env::Default(), "view_partial");
-  ASSERT_GT(store->num_pages(), 3u);
-  // Middle pages only.
-  const uint32_t lo = 1, hi = store->num_pages() - 2;
-  std::vector<std::vector<char>> pages;
-  std::vector<const char*> data;
-  for (uint32_t pid = lo; pid <= hi; ++pid) {
-    pages.emplace_back(store->page_size());
-    ASSERT_TRUE(store->file()->ReadPage(pid, pages.back().data()).ok());
-  }
-  for (auto& p : pages) data.push_back(p.data());
-  PageRangeView view;
-  ASSERT_TRUE(view.Build(*store, data).ok());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const bool fully_inside = store->FirstPageOfVertex(v) >= lo &&
-                              store->LastPageOfVertex(v) <= hi;
-    EXPECT_EQ(view.HasFull(v), fully_inside) << "vertex " << v;
-    if (fully_inside) {
-      auto expected = g.Neighbors(v);
-      AdjacencyRef ref = view.Get(v);
-      EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
-                             ref.all.begin(), ref.all.end()));
-    }
-  }
 }
 
 TEST(IdealTest, MatchesOracleOnPaperGraph) {

@@ -4,7 +4,7 @@
 // area holds n(a)..n(d); {e,f,g,h} become external candidates; the
 // internal triangles are {abc, cdf} and the external ones {def, cfg,
 // cgh}. Resident lists come from a SuccessorIndex over the plan's range
-// and loaded external records from a chunk view, as in OptRunner. The
+// and loaded external records from a RecordDecoder, as in OptRunner. The
 // marker-reuse tests run one ModelScratch through a sequence
 // of overlapping records and check every call, on the Emit path and on
 // the count path, against std::set_intersection and against the
@@ -17,12 +17,12 @@
 #include <span>
 
 #include "core/iterator_model.h"
-#include "core/page_range_view.h"
 #include "core/successor_index.h"
 #include "core/triangle_sink.h"
 #include "graph/builder.h"
 #include "graph/intersect.h"
 #include "storage/graph_store.h"
+#include "storage/record_scanner.h"
 #include "test_helpers.h"
 #include "util/random.h"
 
@@ -48,9 +48,35 @@ CSRGraph PaperGraph() {
   return std::move(b).Build();
 }
 
+/// Every record of `pages` (the whole store, in page order) as the
+/// decoder yields it: stands in for the chunks a run loads.
+class DecodedRecords {
+ public:
+  void Decode(const GraphStore& store, const std::vector<const char*>& pages) {
+    all_.assign(store.num_vertices(), {});
+    succ_begin_.assign(store.num_vertices(), 0);
+    RecordDecoder decoder(store);
+    for (uint32_t pid = 0; pid < pages.size(); ++pid) {
+      const Status s = decoder.Feed(
+          pages[pid], pid, [this](VertexId v, const AdjacencyRef& adj) {
+            all_[v].assign(adj.all.begin(), adj.all.end());
+            succ_begin_[v] = adj.succ_begin;
+            return Status::OK();
+          });
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+
+  AdjacencyRef Get(VertexId v) const { return {all_[v], succ_begin_[v]}; }
+
+ private:
+  std::vector<std::vector<VertexId>> all_;
+  std::vector<uint32_t> succ_begin_;
+};
+
 /// Builds the internal area's SuccessorIndex for the paper's iteration
-/// (n(a)..n(d) resident) and a chunk view over the whole graph, from
-/// which external records are taken.
+/// (n(a)..n(d) resident) and decodes the whole graph, from which
+/// external records are taken.
 class ModelFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -63,7 +89,7 @@ class ModelFixture : public ::testing::Test {
       ASSERT_TRUE(store_->file()->ReadPage(pid, pages_[pid].data()).ok());
       data_.push_back(pages_[pid].data());
     }
-    ASSERT_TRUE(chunk_.Build(*store_, data_).ok());
+    chunk_.Decode(*store_, data_);
     // The paper's iteration: n(a)..n(d) resident.
     plan_.v_lo = A;
     plan_.v_hi = D;
@@ -86,7 +112,7 @@ class ModelFixture : public ::testing::Test {
   std::unique_ptr<GraphStore> store_;
   std::vector<std::vector<char>> pages_;
   std::vector<const char*> data_;
-  PageRangeView chunk_;
+  DecodedRecords chunk_;
   IterationPlan plan_;
   SuccessorIndex internal_;
 };
@@ -94,7 +120,7 @@ class ModelFixture : public ::testing::Test {
 TEST_F(ModelFixture, EdgeIteratorInternalTrianglesMatchPaper) {
   EdgeIteratorModel model;
   VectorSink sink;
-  ModelScratch scratch;
+  ModelScratch scratch(graph_.num_vertices());
   for (VertexId u = plan_.v_lo; u <= plan_.v_hi; ++u) {
     model.InternalTriangles(internal_, plan_, u, &sink, &scratch);
   }
@@ -120,7 +146,7 @@ TEST_F(ModelFixture, EdgeIteratorCandidatesMatchPaper) {
 TEST_F(ModelFixture, EdgeIteratorExternalTrianglesMatchPaper) {
   EdgeIteratorModel model;
   VectorSink sink;
-  ModelScratch scratch;
+  ModelScratch scratch(graph_.num_vertices());
   for (VertexId v : {E, F, G, H}) {
     AdjacencyRef adj = chunk_.Get(v);
     model.ExternalTriangles(internal_, plan_, v, adj, &sink, &scratch);
@@ -138,7 +164,7 @@ TEST_F(ModelFixture, VertexIteratorSplitsTheSameFiveTriangles) {
   // paper's five.
   VertexIteratorModel model;
   VectorSink internal, external;
-  ModelScratch scratch;
+  ModelScratch scratch(graph_.num_vertices());
   for (VertexId u = plan_.v_lo; u <= plan_.v_hi; ++u) {
     model.InternalTriangles(internal_, plan_, u, &internal, &scratch);
   }
@@ -186,7 +212,7 @@ TEST_F(ModelFixture, FullResidencyFindsEverythingInternally) {
        {static_cast<const IteratorModel*>(&ei),
         static_cast<const IteratorModel*>(&vi)}) {
     VectorSink sink;
-    ModelScratch scratch;
+    ModelScratch scratch(graph_.num_vertices());
     std::vector<VertexId> candidates;
     for (VertexId u = 0; u < graph_.num_vertices(); ++u) {
       model->InternalTriangles(resident, full, u, &sink, &scratch);
@@ -348,7 +374,7 @@ CSRGraph MarkerGraph() {
 /// ExternalTriangles for the hub, the empty record and every other
 /// record in ascending order of its largest successor (so later records
 /// reach ids past every earlier maximum), all through ONE scratch whose
-/// marker starts empty and grows. Every call must emit exactly
+/// marker spans |V|. Every call must emit exactly
 /// (u, v, n_succ(u) ∩ n_succ(v)) for its pairs, in order, and its count
 /// probe, run next on the same scratch, must add their total size.
 void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
@@ -363,8 +389,8 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
     ASSERT_TRUE(store->file()->ReadPage(pid, pages[pid].data()).ok());
     data.push_back(pages[pid].data());
   }
-  PageRangeView chunk;
-  ASSERT_TRUE(chunk.Build(*store, data).ok());
+  DecodedRecords chunk;
+  chunk.Decode(*store, data);
   IterationPlan plan;
   plan.v_lo = edge_model ? 0 : 500;
   plan.v_hi = edge_model ? 499 : 999;
@@ -383,7 +409,7 @@ void CheckMarkerReuse(const IteratorModel& model, bool edge_model) {
     work->AddProbe(g.Successors(marked), g.Successors(marked == u ? v : u));
   };
 
-  ModelScratch scratch;
+  ModelScratch scratch(g.num_vertices());
   for (VertexId u = plan.v_lo; u <= plan.v_hi; ++u) {
     SCOPED_TRACE("internal u=" + std::to_string(u));
     std::vector<Call> want;

@@ -70,9 +70,9 @@ CSRGraph LoadStoreAsCSR(Env* env, const std::string& base_path) {
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   std::vector<Edge> edges;
   Status s = ScanRecords(**store, 0, (*store)->num_pages() - 1,
-                         [&](VertexId u, std::span<const VertexId> n) {
-                           for (VertexId v : n) {
-                             if (v > u) edges.emplace_back(u, v);
+                         [&](VertexId u, const AdjacencyRef& adj) {
+                           for (VertexId v : adj.succ()) {
+                             edges.emplace_back(u, v);
                            }
                          });
   EXPECT_TRUE(s.ok()) << s.ToString();

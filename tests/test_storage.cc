@@ -1,5 +1,5 @@
 // Unit tests for the storage engine: page codec, page file, async I/O
-// engine, graph store, record scanner, fault injection. The buffer pool
+// engine, graph store, record decoder and scanner, fault injection. The buffer pool
 // has its own suite (test_buffer_pool.cc).
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <set>
 #include <span>
 #include <string>
@@ -23,6 +24,7 @@
 #include "storage/page_file.h"
 #include "storage/record_scanner.h"
 #include "test_helpers.h"
+#include "util/coding.h"
 #include "util/stopwatch.h"
 
 namespace opt {
@@ -75,6 +77,30 @@ TEST(PageCodecTest, CrcDetectsCorruption) {
   ASSERT_TRUE(PageView(buf.data(), 256).Validate(0).ok());
   buf[100] ^= 0x40;
   EXPECT_TRUE(PageView(buf.data(), 256).Validate(0).IsCorruption());
+}
+
+TEST(PageCodecTest, ValidateRefusesASegmentOutsideThePage) {
+  // A segment count or slot offset rewritten under a re-stamped CRC
+  // would make GetSegment read past the page.
+  std::vector<char> buf(256);
+  PageBuilder builder(buf.data(), 256, 0);
+  const std::vector<VertexId> n{1, 2};
+  builder.AddSegment(0, 2, 0, n);
+  builder.Finish();
+  for (const auto& [at, value] :
+       {std::pair<size_t, uint32_t>{kPageHeaderSize + 12, 59},  // count
+        {256 - kSlotSize, 254},                              // unaligned
+        {256 - kSlotSize, 240},                              // past the end
+        {8, 60}}) {                                          // slots
+    std::vector<char> page = buf;
+    EncodeFixed32(page.data() + at, value);
+    EncodeFixed32(page.data() + 16, ComputePageCrc(page.data(), 256));
+    const Status s = PageView(page.data(), 256).Validate(0);
+    EXPECT_TRUE(s.IsCorruption()) << at << ": " << s.ToString();
+  }
+  EncodeFixed32(buf.data() + kPageHeaderSize + 12, 1);  // a shorter count
+  EncodeFixed32(buf.data() + 16, ComputePageCrc(buf.data(), 256));
+  EXPECT_TRUE(PageView(buf.data(), 256).Validate(0).ok());
 }
 
 TEST(PageCodecTest, ValidateChecksPageId) {
@@ -453,8 +479,8 @@ TEST(GraphStoreWriterTest, GapsBecomeEmptyRecords) {
   EXPECT_EQ((*store)->num_vertices(), 8u);
   std::vector<size_t> degrees(8, 99);
   ASSERT_TRUE(ScanRecords(**store, 0, (*store)->num_pages() - 1,
-                          [&](VertexId v, std::span<const VertexId> nb) {
-                            degrees[v] = nb.size();
+                          [&](VertexId v, const AdjacencyRef& adj) {
+                            degrees[v] = adj.all.size();
                           })
                   .ok());
   EXPECT_EQ(degrees, (std::vector<size_t>{0, 0, 2, 0, 0, 0, 0, 1}));
@@ -504,8 +530,8 @@ TEST(GraphStoreTest, RoundtripSmallGraph) {
   // Scan back and compare adjacency lists.
   std::vector<std::vector<VertexId>> lists(5);
   ASSERT_TRUE(ScanRecords(*store, 0, store->num_pages() - 1,
-                          [&](VertexId v, std::span<const VertexId> n) {
-                            lists[v].assign(n.begin(), n.end());
+                          [&](VertexId v, const AdjacencyRef& adj) {
+                            lists[v].assign(adj.all.begin(), adj.all.end());
                           })
                   .ok());
   for (VertexId v = 0; v < 5; ++v) {
@@ -527,8 +553,10 @@ TEST(GraphStoreTest, SpanningRecords) {
 
   std::vector<VertexId> hub_list;
   ASSERT_TRUE(ScanRecords(*store, 0, store->num_pages() - 1,
-                          [&](VertexId v, std::span<const VertexId> n) {
-                            if (v == 0) hub_list.assign(n.begin(), n.end());
+                          [&](VertexId v, const AdjacencyRef& adj) {
+                            if (v == 0) {
+                              hub_list.assign(adj.all.begin(), adj.all.end());
+                            }
                           })
                   .ok());
   ASSERT_EQ(hub_list.size(), 200u);
@@ -587,12 +615,201 @@ TEST(RecordScannerTest, PartialRangeSkipsBoundaryRecords) {
   const uint32_t mid = store->num_pages() / 2;
   std::set<VertexId> seen;
   ASSERT_TRUE(ScanRecords(*store, mid, store->num_pages() - 1,
-                          [&](VertexId v, std::span<const VertexId>) {
+                          [&](VertexId v, const AdjacencyRef&) {
                             EXPECT_TRUE(seen.insert(v).second);
                           })
                   .ok());
   // Every seen vertex must start at or after page `mid`.
   for (VertexId v : seen) EXPECT_GE(store->FirstPageOfVertex(v), mid);
+}
+
+/// A record as RecordDecoder yielded it, copied out of the decoder.
+struct DecodedRecord {
+  std::vector<VertexId> all;
+  uint32_t succ_begin = 0;
+
+  AdjacencyRef Ref() const { return {all, succ_begin}; }
+};
+
+/// Feeds pages [lo, hi] of `store` to one RecordDecoder and returns every
+/// record it yields, by vertex. A vertex yielded twice fails the test.
+std::map<VertexId, DecodedRecord> DecodePages(const GraphStore& store,
+                                              uint32_t lo, uint32_t hi) {
+  std::map<VertexId, DecodedRecord> records;
+  RecordDecoder decoder(store);
+  std::vector<char> page(store.page_size());
+  for (uint32_t pid = lo; pid <= hi; ++pid) {
+    EXPECT_TRUE(store.file()->ReadPage(pid, page.data()).ok());
+    const Status s = decoder.Feed(
+        page.data(), pid, [&](VertexId v, const AdjacencyRef& adj) {
+          DecodedRecord record{{adj.all.begin(), adj.all.end()},
+                               adj.succ_begin};
+          EXPECT_TRUE(records.emplace(v, std::move(record)).second) << v;
+          return Status::OK();
+        });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  return records;
+}
+
+TEST(RecordDecoderTest, WholeStoreYieldsEveryRecord) {
+  // ER plus a hub whose list spans several 256-byte pages.
+  GraphBuilder b;
+  const CSRGraph er = GenerateErdosRenyi(120, 900, 5);
+  for (VertexId u = 0; u < er.num_vertices(); ++u) {
+    for (VertexId w : er.Successors(u)) b.AddEdge(u, w);
+  }
+  for (VertexId w = 0; w < 120; w += 2) {
+    if (w != 61) b.AddEdge(61, w);
+  }
+  const CSRGraph g = std::move(b).Build();
+  auto store = testutil::MakeStore(g, Env::Default(), "decode_full");
+  ASSERT_GT(store->LastPageOfVertex(61), store->FirstPageOfVertex(61));
+  const auto records = DecodePages(*store, 0, store->num_pages() - 1);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_TRUE(records.contains(v)) << "vertex " << v;
+    const AdjacencyRef ref = records.at(v).Ref();
+    auto expected = g.Neighbors(v);
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                           ref.all.begin(), ref.all.end()));
+    auto expected_succ = g.Successors(v);
+    EXPECT_TRUE(std::equal(expected_succ.begin(), expected_succ.end(),
+                           ref.succ().begin(), ref.succ().end()));
+  }
+}
+
+TEST(RecordDecoderTest, MiddlePagesYieldOnlyFullyCoveredRecords) {
+  CSRGraph g = GenerateErdosRenyi(120, 900, 5);
+  auto store = testutil::MakeStore(g, Env::Default(), "decode_partial");
+  ASSERT_GT(store->num_pages(), 3u);
+  // Middle pages only.
+  const uint32_t lo = 1, hi = store->num_pages() - 2;
+  const auto records = DecodePages(*store, lo, hi);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const bool fully_inside = store->FirstPageOfVertex(v) >= lo &&
+                              store->LastPageOfVertex(v) <= hi;
+    EXPECT_EQ(records.contains(v), fully_inside) << "vertex " << v;
+    if (fully_inside) {
+      auto expected = g.Neighbors(v);
+      const AdjacencyRef ref = records.at(v).Ref();
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                             ref.all.begin(), ref.all.end()));
+    }
+  }
+}
+
+/// One segment to lay out on a hand-built page.
+struct SegmentSpec {
+  VertexId vertex;
+  uint32_t total_degree;
+  uint32_t offset;
+  std::vector<VertexId> ids;
+};
+
+/// Feeds hand-built pages, one per inner list, to a decoder for a store
+/// of 10 vertices — handing out only `wanted`'s records if given — and
+/// returns its status; `yielded` gets every record.
+Status DecodeSpecs(const std::vector<std::vector<SegmentSpec>>& pages,
+                   std::vector<std::pair<VertexId, DecodedRecord>>* yielded,
+                   const std::vector<VertexId>* wanted = nullptr) {
+  const auto store = testutil::MakeStore(GraphBuilder::FromEdges({{0, 9}}),
+                                         Env::Default(), "decode_specs");
+  RecordDecoder decoder = wanted != nullptr
+                              ? RecordDecoder(*store, *wanted)
+                              : RecordDecoder(*store);
+  std::vector<char> page(store->page_size());
+  for (uint32_t pid = 0; pid < pages.size(); ++pid) {
+    PageBuilder builder(page.data(), store->page_size(), pid);
+    for (const SegmentSpec& seg : pages[pid]) {
+      builder.AddSegment(seg.vertex, seg.total_degree, seg.offset, seg.ids);
+    }
+    builder.Finish();
+    OPT_RETURN_IF_ERROR(decoder.Feed(
+        page.data(), pid, [&](VertexId v, const AdjacencyRef& adj) {
+          yielded->push_back(
+              {v, DecodedRecord{{adj.all.begin(), adj.all.end()},
+                                adj.succ_begin}});
+          return Status::OK();
+        }));
+  }
+  return Status::OK();
+}
+
+TEST(RecordDecoderTest, ReassemblesChainsAndSkipsALeadingTail) {
+  // Page 0 opens with the tail of a record begun before it; vertex 3's
+  // list {1, 2, 4, 5} spans pages 0 and 1.
+  std::vector<std::pair<VertexId, DecodedRecord>> yielded;
+  ASSERT_TRUE(DecodeSpecs({{{2, 5, 3, {7, 8}}, {3, 4, 0, {1, 2}}},
+                           {{3, 4, 2, {4, 5}}, {4, 0, 0, {}}}},
+                          &yielded)
+                  .ok());
+  ASSERT_EQ(yielded.size(), 2u);
+  EXPECT_EQ(yielded[0].first, 3u);
+  EXPECT_EQ(yielded[0].second.all, (std::vector<VertexId>{1, 2, 4, 5}));
+  EXPECT_EQ(yielded[0].second.succ_begin, 2u);
+  EXPECT_EQ(yielded[1].first, 4u);
+  EXPECT_TRUE(yielded[1].second.all.empty());
+}
+
+TEST(RecordDecoderTest, WantedListHandsOutOnlyItsRecords) {
+  // Vertex 4 spans both pages and lists an id past |V|, 6 is unsorted:
+  // neither is wanted, so neither is copied or checked for its ids.
+  const std::vector<std::vector<SegmentSpec>> pages = {
+      {{3, 2, 0, {1, 5}}, {4, 3, 0, {1, 2}}},
+      {{4, 3, 2, {40}}, {5, 1, 0, {3}}, {6, 2, 0, {2, 1}}, {8, 1, 0, {3}}}};
+  const std::vector<VertexId> wanted = {3, 5, 7, 8};
+  std::vector<std::pair<VertexId, DecodedRecord>> yielded;
+  ASSERT_TRUE(DecodeSpecs(pages, &yielded, &wanted).ok());
+  ASSERT_EQ(yielded.size(), 3u);
+  EXPECT_EQ(yielded[0].first, 3u);
+  EXPECT_EQ(yielded[1].first, 5u);
+  EXPECT_EQ(yielded[2].first, 8u);
+  EXPECT_EQ(yielded[2].second.all, (std::vector<VertexId>{3}));
+  // The skipped records' vertex order and chains are still checked.
+  yielded.clear();
+  EXPECT_TRUE(DecodeSpecs({{{4, 3, 0, {1, 2}}}, {{4, 3, 1, {5}}}}, &yielded,
+                          &wanted)
+                  .IsCorruption());
+  EXPECT_TRUE(DecodeSpecs({{{6, 0, 0, {}}, {4, 0, 0, {}}}}, &yielded, &wanted)
+                  .IsCorruption());
+  EXPECT_TRUE(yielded.empty());
+}
+
+TEST(RecordDecoderTest, EachFaultIsCorruptionNamingPageAndVertex) {
+  const struct {
+    std::vector<std::vector<SegmentSpec>> pages;
+    std::string expect;
+  } cases[] = {
+      {{{{3, 0, 0, {}}, {2, 0, 0, {}}}},
+       "page 0: vertex 2 has a record after vertex 3"},
+      {{{{4, 0, 0, {}}}, {{4, 0, 0, {}}}},
+       "page 1: vertex 4 has a record after vertex 4"},
+      {{{{12, 0, 0, {}}}}, "vertex 12 has a record but the store has 10"},
+      {{{{3, 4, 0, {1, 2}}, {4, 0, 0, {}}}},
+       "page 0: vertex 3 has an incomplete record (2 of 4 ids)"},
+      {{{{3, 4, 0, {1, 2}}}, {{3, 4, 1, {4, 5}}}},
+       "page 1: vertex 3 has an incomplete record (2 of 4 ids)"},
+      {{{{3, 2, 0, {1, 2, 4}}}}, "vertex 3 has more ids than its degree 2"},
+      {{{{3, 3, 0, {1, 2}}}, {{3, 3, 2, {4, 5}}}},
+       "page 1: vertex 3 has more ids than its degree 3"},
+      {{{{3, 0, 0, {}}, {4, 2, 1, {5}}}},
+       "vertex 4 has a segment at offset 1 that continues no record"},
+      {{{{3, 2, 0, {1, 11}}}},
+       "vertex 3 lists neighbour 11 but the store has 10 vertices"},
+      {{{{3, 2, 0, {1, 3}}}}, "vertex 3 lists itself"},
+      {{{{3, 2, 0, {2, 1}}}}, "vertex 3 lists predecessor 1 after 2"},
+      {{{{3, 2, 0, {5, 4}}}}, "vertex 3 lists successor 4 after 5"},
+      {{{{3, 2, 0, {5, 5}}}}, "vertex 3 lists successor 5 after 5"},
+      {{{{3, 4, 0, {1, 5}}}, {{3, 4, 2, {4, 6}}}},
+       "page 1: vertex 3 lists successor 4 after 5"},
+  };
+  for (const auto& c : cases) {
+    std::vector<std::pair<VertexId, DecodedRecord>> yielded;
+    const Status s = DecodeSpecs(c.pages, &yielded);
+    EXPECT_TRUE(s.IsCorruption()) << c.expect << ": " << s.ToString();
+    EXPECT_NE(s.ToString().find(c.expect), std::string::npos)
+        << s.ToString() << " lacks \"" << c.expect << "\"";
+  }
 }
 
 TEST(ThrottledEnvTest, CountsAndDelays) {

@@ -141,11 +141,11 @@ TEST_F(StoreBuilderTest, MatchesInMemoryPath) {
             reference.num_directed_edges());
   // Adjacency lists identical record by record.
   ASSERT_TRUE(ScanRecords(**store, 0, (*store)->num_pages() - 1,
-                          [&](VertexId v, std::span<const VertexId> n) {
+                          [&](VertexId v, const AdjacencyRef& adj) {
                             auto expected = reference.Neighbors(v);
                             EXPECT_TRUE(std::equal(
                                 expected.begin(), expected.end(),
-                                n.begin(), n.end()))
+                                adj.all.begin(), adj.all.end()))
                                 << "vertex " << v;
                           })
                   .ok());

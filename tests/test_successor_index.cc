@@ -4,7 +4,8 @@
 // the index of every PlanIteration range against CSRGraph::Successors.
 // Damaged stores whose pages were re-stamped with a matching CRC check
 // that OptRunner::Run refuses a missing, incomplete or unsorted internal
-// record, or an id past |V|, with Corruption.
+// record, or an id past |V|, with Corruption, and that OPT, MGT and
+// GraphChi-Tri refuse an unsorted record they load as external.
 //
 // The fuzz volume is tunable without a rebuild:
 //   OPT_FUZZ_CASES=500000 OPT_FUZZ_SEED=n ./test_successor_index
@@ -21,10 +22,15 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/mgt.h"
+#include "baselines/shrink_loop.h"
 #include "core/iterator_model.h"
 #include "core/opt_runner.h"
 #include "core/triangle_sink.h"
@@ -217,45 +223,45 @@ std::optional<SegmentAt> FindRecord(
   return std::nullopt;
 }
 
-/// Damages one page of a fresh ER store with `damage`, re-stamps its CRC
-/// and runs OPT on the result for both models, serial and with 4
-/// threads, with an internal area that holds the whole graph. Every run
-/// must fail with Corruption whose message contains `expect`, which
-/// `damage` may fill in.
-void ExpectRunRefusesDamage(
+/// Rewrites one page of a fresh ER(200, 2000) store: `pick` chooses the
+/// page from the intact store, `damage` rewrites its image and fills in
+/// the text the refusal must contain. The page's CRC is then re-stamped.
+/// Returns the store's base path and the damage's expected text.
+std::pair<std::string, std::string> RestampedStore(
     const std::string& tag,
+    const std::function<uint32_t(const GraphStore&)>& pick,
     const std::function<void(char* page, VertexId n, std::string* expect)>&
         damage) {
   const CSRGraph g = GenerateErdosRenyi(200, 2000, 71);
   const std::string base =
       testutil::CreateStore(g, Env::Default(), tag, kPageSize);
+  const uint32_t pid = pick(*testutil::OpenStore(Env::Default(), base));
   std::string pages;
   {
     std::ifstream in(GraphStore::PagesPath(base), std::ios::binary);
-    ASSERT_TRUE(in.good());
+    EXPECT_TRUE(in.good());
     pages.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
-  // A page in the middle of the area, so the records before and after
-  // the damaged one are intact.
-  const uint32_t pid =
-      static_cast<uint32_t>(pages.size() / kPageSize / 2);
   char* page = pages.data() + static_cast<size_t>(pid) * kPageSize;
   std::string expect;
   damage(page, g.num_vertices(), &expect);
-  ASSERT_FALSE(expect.empty());
+  EXPECT_FALSE(expect.empty());
   EncodeFixed32(page + 16, ComputePageCrc(page, kPageSize));
   {
     std::ofstream out(GraphStore::PagesPath(base),
                       std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(out.good());
+    EXPECT_TRUE(out.good());
     out.write(pages.data(), static_cast<std::streamsize>(pages.size()));
   }
+  return {base, expect};
+}
 
-  // Every CRC still matches...
-  auto store = GraphStore::Open(Env::Default(), base, /*verify_pages=*/true);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  // ...and the run still refuses the page.
+/// Runs OPT on `store` for both models, serial and with 4 threads, with
+/// an internal area of `m_in` pages. Every run must fail with Corruption
+/// whose message contains `expect`.
+void ExpectOptRefuses(GraphStore* store, uint32_t m_in,
+                      const std::string& expect) {
   EdgeIteratorModel ei;
   VertexIteratorModel vi;
   for (const IteratorModel* model :
@@ -265,11 +271,11 @@ void ExpectRunRefusesDamage(
       SCOPED_TRACE(std::string(model->name()) +
                    " threads=" + std::to_string(threads));
       OptOptions options;
-      options.m_in = (*store)->num_pages();
+      options.m_in = m_in;
       options.m_ex = options.m_in;
       options.num_threads = threads;
       options.macro_overlap = threads > 1;
-      OptRunner runner(store->get(), model, options);
+      OptRunner runner(store, model, options);
       CountingSink sink;
       const Status s = runner.Run(&sink, nullptr);
       EXPECT_TRUE(s.IsCorruption()) << s.ToString();
@@ -277,6 +283,30 @@ void ExpectRunRefusesDamage(
           << s.ToString() << " lacks \"" << expect << "\"";
     }
   }
+}
+
+/// Damages one page of a fresh ER store with `damage`, re-stamps its CRC
+/// and runs OPT on the result for both models, serial and with 4
+/// threads, with an internal area that holds the whole graph. Every run
+/// must fail with Corruption whose message contains `expect`, which
+/// `damage` may fill in.
+void ExpectRunRefusesDamage(
+    const std::string& tag,
+    const std::function<void(char* page, VertexId n, std::string* expect)>&
+        damage) {
+  // A page in the middle of the area, so the records before and after
+  // the damaged one are intact.
+  const auto [base, expect] = RestampedStore(
+      tag,
+      [](const GraphStore& store) { return store.num_pages() / 2; },
+      damage);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+
+  // Every CRC still matches...
+  auto store = GraphStore::Open(Env::Default(), base, /*verify_pages=*/true);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  // ...and the run still refuses the page.
+  ExpectOptRefuses(store->get(), (*store)->num_pages(), expect);
 }
 
 TEST(SuccessorIndexCorruption, IncompleteRecordFailsTheRun) {
@@ -363,6 +393,129 @@ TEST(SuccessorIndexCorruption, IdPastVertexCountFailsTheRun) {
     EncodeFixed32(ids + 4 * (k - 1), n + 7);
     *expect = "neighbour " + std::to_string(n + 7);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Damaged loaded records: out of core, a record outside the internal
+// area reaches ProcessChunk, and the MGT and GraphChi-Tri scans, as an
+// external record. OPT, MGT and GraphChi-Tri must all return Corruption.
+// ---------------------------------------------------------------------------
+
+/// Rewrites the ids of vertex `v`'s one-segment record with `rewrite`,
+/// re-stamps the CRC, and runs OPT out of core for both models at 1 and
+/// 4 threads, then MGT and GraphChi-Tri, all with m_in = max(
+/// MaxRecordPages, a quarter of the pages). Every run must fail with
+/// Corruption whose message contains `expect`. Returns the damaged store
+/// and that m_in.
+std::pair<std::unique_ptr<GraphStore>, uint32_t> ExpectExternalRunsRefuse(
+    const std::string& tag, VertexId v,
+    const std::function<void(std::span<VertexId> ids)>& rewrite,
+    const std::string& expect) {
+  const auto [base, ignored] = RestampedStore(
+      tag,
+      [v](const GraphStore& store) {
+        EXPECT_EQ(store.FirstPageOfVertex(v), store.LastPageOfVertex(v));
+        return store.FirstPageOfVertex(v);
+      },
+      [&](char* page, VertexId, std::string* filled) {
+        const auto at =
+            FindRecord(page, [v](const Segment& s) { return s.vertex == v; });
+        ASSERT_TRUE(at.has_value());
+        std::vector<VertexId> ids(at->seg.neighbors.begin(),
+                                  at->seg.neighbors.end());
+        rewrite(ids);
+        char* out = page + at->header + kSegmentHeaderSize;
+        for (size_t i = 0; i < ids.size(); ++i) {
+          EncodeFixed32(out + 4 * i, ids[i]);
+        }
+        *filled = expect;
+      });
+  auto store = GraphStore::Open(Env::Default(), base, /*verify_pages=*/true);
+  if (::testing::Test::HasFailure() || !store.ok()) {
+    ADD_FAILURE() << "no damaged store: " << store.status().ToString();
+    return {nullptr, 0};
+  }
+  const uint32_t m_in = std::max((*store)->MaxRecordPages(),
+                                 (*store)->num_pages() / 4);
+  EXPECT_LT(m_in, (*store)->num_pages());
+  ExpectOptRefuses(store->get(), m_in, expect);
+
+  const auto expect_refusal = [&expect](const char* method, const Status& s) {
+    EXPECT_TRUE(s.IsCorruption()) << method << ": " << s.ToString();
+    EXPECT_NE(s.ToString().find(expect), std::string::npos)
+        << method << ": " << s.ToString() << " lacks \"" << expect << "\"";
+  };
+  MgtOptions mgt;
+  mgt.memory_pages = m_in;
+  CountingSink mgt_sink;
+  expect_refusal("MGT", RunMgt(store->get(), &mgt_sink, mgt));
+  internal::ShrinkLoopOptions loop;
+  loop.memory_pages = m_in;
+  loop.temp_dir = testutil::ProcessTempDir();
+  loop.temp_prefix = tag;
+  CountingSink loop_sink;
+  internal::ShrinkLoopStats loop_stats;
+  expect_refusal("GraphChi-Tri",
+                 internal::RunShrinkLoop(store->get(), Env::Default(),
+                                         &loop_sink, loop, &loop_stats));
+  return {std::move(store.value()), m_in};
+}
+
+TEST(ExternalRecordCorruption, UnsortedPredecessorsFailEveryRun) {
+  // Vertex 198's n_prec rewritten as 17 × 93, then 0: the edge model's
+  // requester slice [lower_bound(v_lo), upper_bound(v_hi)) of this n_prec
+  // used to name vertices outside the internal area and index the
+  // successor index out of range.
+  ExpectExternalRunsRefuse(
+      "ext_prec", 198,
+      [](std::span<VertexId> ids) {
+        const size_t prec = static_cast<size_t>(
+            std::upper_bound(ids.begin(), ids.end(), VertexId{198}) -
+            ids.begin());
+        ASSERT_EQ(prec, 18u);
+        std::fill(ids.begin(), ids.begin() + 17, VertexId{93});
+        ids[17] = 0;
+      },
+      "vertex 198 lists predecessor 93 after 93");
+}
+
+TEST(ExternalRecordCorruption, UnsortedSuccessorsFailEveryRun) {
+  // The last two successors of vertex 70 swapped. The edge model loads
+  // its record as an external candidate in its first iteration, before
+  // the record is ever internal.
+  constexpr VertexId kDamaged = 70;
+  const CSRGraph g = GenerateErdosRenyi(200, 2000, 71);
+  const auto succ = g.Successors(kDamaged);
+  ASSERT_GE(succ.size(), 2u);
+  const VertexId lo = succ[succ.size() - 2], hi = succ.back();
+  const auto [store, m_in] = ExpectExternalRunsRefuse(
+      "ext_succ", kDamaged,
+      [](std::span<VertexId> ids) {
+        std::swap(ids[ids.size() - 2], ids[ids.size() - 1]);
+      },
+      "vertex 70 lists successor " + std::to_string(lo) + " after " +
+          std::to_string(hi));
+  ASSERT_NE(store, nullptr);
+  // The edge model must refuse the record where it first loads it, not
+  // list triangles from it and fail in a later iteration: no listed
+  // triangle has vertex 70 as its middle (external) vertex.
+  ASSERT_GT(store->PlanIteration(0, m_in)->v_hi, 0u);
+  ASSERT_LT(store->PlanIteration(0, m_in)->v_hi, kDamaged);
+  EdgeIteratorModel ei;
+  for (uint32_t threads : {1u, 4u}) {
+    OptOptions options;
+    options.m_in = m_in;
+    options.m_ex = m_in;
+    options.num_threads = threads;
+    options.macro_overlap = threads > 1;
+    OptRunner runner(store.get(), &ei, options);
+    VectorSink sink;
+    EXPECT_TRUE(runner.Run(&sink, nullptr).IsCorruption());
+    for (const Triangle& t : sink.Sorted()) {
+      EXPECT_NE(t.v, kDamaged) << "threads=" << threads << " listed ("
+                               << t.u << ", " << t.v << ", " << t.w << ")";
+    }
+  }
 }
 
 }  // namespace

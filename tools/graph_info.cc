@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
   Histogram degrees;
   uint64_t wedges = 0;
   Status s = ScanRecords(**store, 0, (*store)->num_pages() - 1,
-                         [&](VertexId, std::span<const VertexId> n) {
-                           degrees.Add(n.size());
-                           const uint64_t d = n.size();
+                         [&](VertexId, const AdjacencyRef& adj) {
+                           degrees.Add(adj.all.size());
+                           const uint64_t d = adj.all.size();
                            wedges += d * (d - 1) / 2;
                          });
   if (!s.ok()) {

@@ -37,9 +37,9 @@ Result<CSRGraph> LoadStoreAsCSR(Env* env, const std::string& base_path) {
   std::vector<Edge> edges;
   edges.reserve((*store)->num_directed_edges() / 2);
   Status s = ScanRecords(**store, 0, (*store)->num_pages() - 1,
-                         [&](VertexId u, std::span<const VertexId> n) {
-                           for (VertexId v : n) {
-                             if (v > u) edges.emplace_back(u, v);
+                         [&](VertexId u, const AdjacencyRef& adj) {
+                           for (VertexId v : adj.succ()) {
+                             edges.emplace_back(u, v);
                            }
                          });
   if (!s.ok()) return s;
